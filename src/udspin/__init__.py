@@ -8,12 +8,14 @@ from .errors import (
     ConfigError,
 )
 from .basis import (
-    MAX_BASIS_DIM,
+    MAX_TABLE_BYTES,
     dimension,
     enumerate_occupations,
     occupation_rank,
+    occupation_ranks,
     occupation_unrank,
     SymmetricBasis,
+    shared_basis,
     SymmetricState,
     basis_ket,
     matrix_element,

@@ -26,24 +26,28 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import CapacityError
 
-# Refuse bases beyond this dimension: nothing downstream (dense reduced
-# density matrices, eigensolvers) could use them anyway.
-MAX_BASIS_DIM = 2**32
+# Refuse an occupation table (dim * D int64 entries) larger than this:
+# the check runs before allocation, so an oversized sector fails with
+# CapacityError instead of exhausting memory.
+MAX_TABLE_BYTES = 2**30
 
 _INT64_MAX = 2**63 - 1
 
 __all__ = [
-    "MAX_BASIS_DIM",
+    "MAX_TABLE_BYTES",
     "dimension",
     "enumerate_occupations",
     "occupation_rank",
+    "occupation_ranks",
     "occupation_unrank",
     "SymmetricBasis",
+    "shared_basis",
     "SymmetricState",
     "basis_ket",
     "matrix_element",
@@ -80,6 +84,15 @@ def _compositions(total: int, slots: int):
             yield (first,) + rest
 
 
+def _check_table_bytes(rows: int, n_levels: int, what: str) -> None:
+    nbytes = rows * n_levels * 8
+    if nbytes > MAX_TABLE_BYTES:
+        raise CapacityError(
+            f"{what} of {rows} x {n_levels} entries needs {nbytes} bytes"
+            f" > {MAX_TABLE_BYTES}"
+        )
+
+
 def enumerate_occupations(n_particles: int, n_levels: int) -> np.ndarray:
     """All occupation vectors for (N, D) as a (dim, D) int64 array.
 
@@ -87,10 +100,7 @@ def enumerate_occupations(n_particles: int, n_levels: int) -> np.ndarray:
     occupation of rank r.
     """
     dim = dimension(n_particles, n_levels)
-    if dim > MAX_BASIS_DIM:
-        raise CapacityError(
-            f"refusing to enumerate a basis of dimension {dim} > {MAX_BASIS_DIM}"
-        )
+    _check_table_bytes(dim, n_levels, f"occupation table for N={n_particles}")
     out = np.fromiter(
         (x for occ in _compositions(n_particles, n_levels) for x in occ),
         dtype=np.int64,
@@ -112,25 +122,38 @@ def _validate_occupation(occupation, n_particles: int, n_levels: int) -> np.ndar
     return occ
 
 
-def occupation_rank(occupation) -> int:
-    """Rank of an occupation vector within its own (sum, len) sector.
+def occupation_ranks(occupations) -> np.ndarray:
+    """Ranks of occupation vectors, each within its own (sum, D) sector.
 
-    Counting argument, O(D*N) arithmetic: all vectors with a larger
-    entry at the first differing position come earlier in descending
-    lexicographic order, and each such block is a smaller composition
-    count (hockey-stick sum).  No enumeration table required.
+    occupations has shape (..., D); the result has shape (...).  Counting
+    argument: all vectors with a larger entry at the first differing
+    position come earlier in descending lexicographic order, and the
+    block passed over at position k holds C(m + r, r) vectors, with
+    m + 1 the particles in positions after k and r = D - 1 - k (a
+    hockey-stick sum).  Binomials come from a (max sum) x D Pascal table,
+    so no entry exceeds the sector dimension.
     """
-    occ = np.asarray(occupation, dtype=np.int64).ravel()
+    occ = np.asarray(occupations, dtype=np.int64)
     if (occ < 0).any():
-        raise ValueError(f"negative occupation in {occ.tolist()}")
-    n_levels = occ.size
-    remaining = int(occ.sum())
-    rank = 0
-    for k in range(n_levels - 1):
-        d_rest = n_levels - k - 1
-        rank += math.comb(remaining - int(occ[k]) - 1 + d_rest, d_rest)
-        remaining -= int(occ[k])
-    return rank
+        raise ValueError("negative occupation in rank input")
+    n_levels = occ.shape[-1]
+    rows = occ.reshape(-1, n_levels)
+    n_max = int(rows.sum(axis=1).max(initial=0))
+    dimension(n_max, n_levels)  # CapacityError when ranks overflow int64
+    _check_table_bytes(n_max, n_levels, "binomial table")
+    table = np.ones((max(n_max, 1), n_levels), dtype=np.int64)
+    for r in range(1, n_levels):
+        table[:, r] = np.cumsum(table[:, r - 1])  # C(m + r, r)
+    # m[:, k] = particles after position k, minus one; -1 marks an empty block
+    m = np.cumsum(rows[:, :0:-1], axis=1)[:, ::-1] - 1
+    r = np.arange(n_levels - 1, 0, -1)
+    blocks = np.where(m >= 0, table[np.maximum(m, 0), r], 0)
+    return blocks.sum(axis=1).reshape(occ.shape[:-1])
+
+
+def occupation_rank(occupation) -> int:
+    """Rank of one occupation vector; the one-row case of occupation_ranks."""
+    return int(occupation_ranks(np.ravel(occupation)))
 
 
 def occupation_unrank(index: int, n_particles: int, n_levels: int) -> np.ndarray:
@@ -160,8 +183,8 @@ class SymmetricBasis:
     """Ranked enumeration of the symmetric (N, D) sector.
 
     Immutable after construction and safe to share across threads or
-    (pickled) worker processes.  Holds the occupation table, a reverse
-    rank lookup and memoized one-move tables for every S_ij.
+    (pickled) worker processes.  Holds the occupation table and memoized
+    one-move tables for every S_ij; ranks come from occupation_ranks.
     """
 
     def __init__(self, n_particles: int, n_levels: int):
@@ -172,15 +195,8 @@ class SymmetricBasis:
         self.n_particles = int(n_particles)
         self.n_levels = int(n_levels)
         self.dim = dimension(n_particles, n_levels)
-        if self.dim > MAX_BASIS_DIM:
-            raise CapacityError(
-                f"basis dimension {self.dim} exceeds hard bound {MAX_BASIS_DIM}"
-            )
         self.occupations = enumerate_occupations(n_particles, n_levels)
         self.occupations.setflags(write=False)
-        self._rank_of = {
-            tuple(map(int, row)): r for r, row in enumerate(self.occupations)
-        }
         self._moves: dict = {}
 
     def __repr__(self) -> str:
@@ -191,7 +207,7 @@ class SymmetricBasis:
 
     def rank(self, occupation) -> int:
         occ = _validate_occupation(occupation, self.n_particles, self.n_levels)
-        return self._rank_of[tuple(map(int, occ))]
+        return occupation_rank(occ)
 
     def unrank(self, index: int) -> np.ndarray:
         if not 0 <= index < self.dim:
@@ -225,15 +241,16 @@ class SymmetricBasis:
             shifted = occ[src].copy()
             shifted[:, i0] += 1
             shifted[:, j0] -= 1
-            lookup = self._rank_of
-            dst = np.fromiter(
-                (lookup[tuple(map(int, row))] for row in shifted),
-                dtype=np.int64,
-                count=src.size,
-            )
-            trip = (src, dst, amp)
+            trip = (src, occupation_ranks(shifted), amp)
         self._moves[key] = trip
         return trip
+
+
+@lru_cache(maxsize=16)
+def shared_basis(n_particles: int, n_levels: int) -> SymmetricBasis:
+    """The one SymmetricBasis per (N, D) that sweeps, surfaces and the
+    Hamiltonian workspace share, with its memoized move tables."""
+    return SymmetricBasis(n_particles, n_levels)
 
 
 @dataclass

@@ -29,7 +29,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
-from .basis import SymmetricBasis, SymmetricState
+from .basis import SymmetricBasis, SymmetricState, occupation_ranks, shared_basis
 from .errors import EmptySectorError, IntegrityError
 from .states import dcat, parity_expval
 
@@ -90,13 +90,15 @@ class GroundStateResult:
     parity_signature: np.ndarray
 
 
-def _assemble(basis: SymmetricBasis):
-    """Diagonal splitting vector n_D - n_1 and the coupling matrix sum_{i!=j} S_ij^2."""
+@lru_cache(maxsize=16)
+def _workspace(n_particles: int):
+    """Shared basis, diagonal splitting vector n_D - n_1 and the coupling
+    matrix sum_{i!=j} S_ij^2, assembled once per N."""
+    basis = shared_basis(n_particles, 3)
     occ = basis.occupations
     d = basis.n_levels
     diag = (occ[:, d - 1] - occ[:, 0]).astype(np.float64)
     rows, cols, vals = [], [], []
-    lookup = basis._rank_of
     for i0 in range(d):
         for j0 in range(d):
             if i0 == j0:
@@ -110,25 +112,13 @@ def _assemble(basis: SymmetricBasis):
             shifted = occ[src].copy()
             shifted[:, i0] += 2
             shifted[:, j0] -= 2
-            dst = np.fromiter(
-                (lookup[tuple(map(int, row))] for row in shifted),
-                dtype=np.int64,
-                count=src.size,
-            )
-            rows.append(dst)
+            rows.append(occupation_ranks(shifted))
             cols.append(src)
             vals.append(amp)
     coupling = sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(basis.dim, basis.dim),
     ).tocsr()
-    return diag, coupling
-
-
-@lru_cache(maxsize=16)
-def _workspace(n_particles: int):
-    basis = SymmetricBasis(n_particles, 3)
-    diag, coupling = _assemble(basis)
     return basis, diag, coupling
 
 
@@ -138,7 +128,7 @@ def build_hamiltonian(basis: SymmetricBasis, params: LmgParams) -> sp.csr_matrix
         raise ValueError("Hamiltonian requires a three-level basis")
     if basis.n_particles != params.n_particles:
         raise ValueError("basis and params disagree on n_particles")
-    diag, coupling = _assemble(basis)
+    _, diag, coupling = _workspace(params.n_particles)
     n = params.n_particles
     kin = sp.diags(params.epsilon / n * diag)
     return (kin - params.lam / (n * (n - 1)) * coupling).tocsr()

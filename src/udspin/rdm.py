@@ -27,10 +27,10 @@ import numpy as np
 from scipy.special import gammaln
 
 from .basis import (
-    SymmetricBasis,
     SymmetricState,
     expval_matrix,
     expval_tables,
+    occupation_ranks,
 )
 from .errors import CapacityError, IntegrityError
 from .states import _cat_context, dcat_expval_tables
@@ -216,31 +216,8 @@ def dcat_one_qudit_purity(z, n_particles: int) -> float:
 
 
 def dcat_two_qudit_purity(z, n_particles: int) -> float:
-    """tr(rho2^2) for the even cat state from its closed moment tables.
-
-    Uses the pairing structure of the cat moments: the general
-    double-Q contraction splits into the j != k part plus diagonal
-    corrections, avoiding any state-vector work.
-    """
-    n = n_particles
-    S, Q = dcat_expval_tables(z, n)
-    d = S.shape[0]
-    total = 0j
-    for i in range(d):
-        for j in range(d):
-            for k in range(d):
-                if k == j:
-                    continue
-                for l in range(d):
-                    total += Q[j, i, l, k] * Q[i, j, k, l]
-    for i in range(d):
-        for j in range(d):
-            total += Q[j, i, i, j] * (Q[i, j, j, i] - 2.0 * S[i, i])
-    total += np.trace(S) ** 2
-    val = total / (n * (n - 1)) ** 2
-    if abs(val.imag) > 1e-8 * max(1.0, abs(val.real)):
-        raise IntegrityError(f"cat purity has imaginary part {val.imag!r}")
-    return float(val.real)
+    """tr(rho2^2) for the even cat state from its closed moment tables."""
+    return two_qudit_purity_from_tables(*dcat_expval_tables(z, n_particles), n_particles)
 
 
 # ---------------------------------------------------------------------------
@@ -335,11 +312,7 @@ def partial_trace_oracle(state: SymmetricState, keep: int) -> np.ndarray:
     place = d ** np.arange(n - 1, -1, -1)
     digits = (idx[:, None] // place[None, :]) % d
     counts = np.stack([(digits == lvl).sum(axis=1) for lvl in range(d)], axis=1)
-    ranks = np.fromiter(
-        (basis._rank_of[tuple(map(int, row))] for row in counts),
-        dtype=np.int64,
-        count=total,
-    )
+    ranks = occupation_ranks(counts)
     # amplitude of each tensor index: c_n / sqrt(multinomial(N; n))
     log_mult = gammaln(n + 1) - gammaln(counts + 1.0).sum(axis=1)
     psi = state.coeffs[ranks] * np.exp(-0.5 * log_mult)

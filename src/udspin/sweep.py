@@ -21,12 +21,11 @@ import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
-from functools import lru_cache
 from itertools import repeat
 
 import numpy as np
 
-from .basis import SymmetricBasis, expval_tables
+from .basis import expval_tables, shared_basis
 from .errors import ConfigError, IntegrityError
 from .lmg import (
     LmgParams,
@@ -98,10 +97,20 @@ CSV_COLUMNS = (
     "beta0",
 )
 
-_ENTROPY_COLUMNS = frozenset(
-    {"L_level_1", "L_level_2", "L_level_3", "L1_atom", "L2_atom"}
-)
-_SQUEEZING_COLUMNS = frozenset({"xi2_total", "xi2_21", "xi2_31", "xi2_32"})
+#: Range rule of each checked column; other columns are unconstrained.
+_COLUMN_KINDS = {
+    **dict.fromkeys(("L_level_1", "L_level_2", "L_level_3", "L1_atom", "L2_atom"), "entropy"),
+    **dict.fromkeys(("xi2_total", "xi2_21", "xi2_31", "xi2_32"), "squeezing"),
+}
+
+
+def _check_range(kind, value: float, where: str) -> None:
+    """The one range rule of written tables: entropies lie in [0, 1] and
+    squeezing is non-negative; kind None is unconstrained."""
+    if kind == "entropy" and not 0.0 <= value <= 1.0:
+        raise IntegrityError(f"{where}: entropy {value!r} outside [0, 1]")
+    if kind == "squeezing" and value < 0.0:
+        raise IntegrityError(f"{where}: squeezing {value!r} negative")
 
 
 def default_lambda_grid(epsilon: float = 1.0) -> tuple[float, ...]:
@@ -190,14 +199,9 @@ _RECORD_FIELDS = tuple(f.name for f in fields(SweepRecord))
 assert len(_RECORD_FIELDS) == len(CSV_COLUMNS)
 
 
-@lru_cache(maxsize=4)
-def _basis_for(n_particles: int) -> SymmetricBasis:
-    return SymmetricBasis(n_particles, 3)
-
-
 def _sweep_point(config: SweepConfig, lam: float) -> tuple:
     """All records for one coupling, sources in canonical order."""
-    basis = _basis_for(config.n_particles)
+    basis = shared_basis(config.n_particles, 3)
     params = LmgParams(n_particles=config.n_particles, epsilon=config.epsilon, lam=lam)
     point = stationary_point(params)
     want = set(config.observables)
@@ -261,50 +265,44 @@ def _check_records(records) -> None:
     for record in records:
         for name, column in zip(_RECORD_FIELDS, CSV_COLUMNS):
             value = getattr(record, name)
-            if value is None:
-                continue
-            if column in _ENTROPY_COLUMNS and not 0.0 <= value <= 1.0:
-                raise IntegrityError(
-                    f"{column} = {value!r} outside [0, 1] at lambda = {record.lam}"
-                )
-            if column in _SQUEEZING_COLUMNS and value < 0.0:
-                raise IntegrityError(
-                    f"{column} = {value!r} negative at lambda = {record.lam}"
+            if value is not None:
+                _check_range(
+                    _COLUMN_KINDS.get(column), value, f"{column} at lambda = {record.lam}"
                 )
 
 
-def _format_float(value) -> str:
+def _csv_cell(value) -> str:
+    if isinstance(value, str):
+        return value
     return "" if value is None else f"{value:.12g}"
 
 
-def render_records(records, fmt: str = "csv") -> str:
-    """Serialize records; floats carry 12 significant digits."""
+def _json_cell(value):
+    if isinstance(value, str) or value is None:
+        return value
+    return float(f"{value:.12g}")
+
+
+def _render_rows(header, rows, fmt: str) -> str:
+    """The one table serializer: floats carry 12 significant digits,
+    strings pass through and None is an empty CSV cell or JSON null."""
     if fmt == "csv":
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        for record in records:
-            writer.writerow(
-                [
-                    _format_float(record.lam),
-                    record.source,
-                    *(
-                        _format_float(getattr(record, name))
-                        for name in _RECORD_FIELDS[2:]
-                    ),
-                ]
-            )
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([_csv_cell(v) for v in row])
         return buffer.getvalue()
     if fmt == "json":
-        rows = []
-        for record in records:
-            row = {"lambda": float(f"{record.lam:.12g}"), "source": record.source}
-            for name, column in zip(_RECORD_FIELDS[2:], CSV_COLUMNS[2:]):
-                value = getattr(record, name)
-                row[column] = None if value is None else float(f"{value:.12g}")
-            rows.append(row)
-        return json.dumps(rows, indent=2) + "\n"
+        cells = [{key: _json_cell(v) for key, v in zip(header, row)} for row in rows]
+        return json.dumps(cells, indent=2) + "\n"
     raise ConfigError(f"unknown format {fmt!r}; choose csv or json")
+
+
+def render_records(records, fmt: str = "csv") -> str:
+    """Serialize records in CSV_COLUMNS order; floats carry 12 significant digits."""
+    rows = [[getattr(record, name) for name in _RECORD_FIELDS] for record in records]
+    return _render_rows(CSV_COLUMNS, rows, fmt)
 
 
 def write_records(records, path, fmt: str = "csv") -> None:
@@ -321,13 +319,8 @@ def write_records(records, path, fmt: str = "csv") -> None:
 def _check_row_values(row: dict, where: str) -> None:
     for column in CSV_COLUMNS[2:]:
         raw = row.get(column)
-        if raw is None or raw == "":
-            continue
-        value = float(raw)
-        if column in _ENTROPY_COLUMNS and not 0.0 <= value <= 1.0:
-            raise IntegrityError(f"{where}: {column} = {value} outside [0, 1]")
-        if column in _SQUEEZING_COLUMNS and value < 0.0:
-            raise IntegrityError(f"{where}: {column} = {value} negative")
+        if raw is not None and raw != "":
+            _check_range(_COLUMN_KINDS.get(column), float(raw), f"{where}: {column}")
 
 
 def validate_table(path, fmt: str = "csv") -> int:
@@ -435,7 +428,7 @@ def _surface_value(config: SurfaceConfig, a: float, b: float) -> float:
     if config.observable == "energy":
         params = LmgParams(n_particles=n, epsilon=config.epsilon, lam=config.lam)
         return energy_surface(a, b, params)
-    basis = _basis_for(n)
+    basis = shared_basis(n, 3)
     z = (1.0, a, b)
     state = dscs(basis, z) if config.kind == "dscs" else dcat(basis, z)
     if config.observable.startswith("level_entropy"):
@@ -472,20 +465,6 @@ def stationary_table(epsilon: float = 1.0, lambdas=None) -> list:
     return rows
 
 
-def _render_rows(header, rows, fmt: str) -> str:
-    if fmt == "csv":
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_format_float(v) for v in row])
-        return buffer.getvalue()
-    rounded = [
-        {key: float(f"{v:.12g}") for key, v in zip(header, row)} for row in rows
-    ]
-    return json.dumps(rounded, indent=2) + "\n"
-
-
 def write_surface(config: SurfaceConfig, path, fmt: str = "csv") -> str:
     """Write the surface table plus a stationary-curve sidecar.
 
@@ -512,12 +491,7 @@ def write_surface(config: SurfaceConfig, path, fmt: str = "csv") -> str:
             )
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
-    for _, _, value in rows:
-        if cfg.observable == "energy":
-            continue
-        if cfg.observable == "squeezing_total":
-            if value < 0.0:
-                raise IntegrityError(f"{path}: squeezing value {value} negative")
-        elif not 0.0 <= value <= 1.0:
-            raise IntegrityError(f"{path}: entropy value {value} outside [0, 1]")
+    kind = {"energy": None, "squeezing_total": "squeezing"}.get(cfg.observable, "entropy")
+    for a, b, value in rows:
+        _check_range(kind, value, f"{path}: ({a}, {b})")
     return sidecar
