@@ -10,6 +10,10 @@ state lies in the fully even sector (n_2, n_3 both even); diagonalization
 restricts there by default, which also picks a deterministic
 representative among the near-degenerate finite-N levels of the broken
 phases.  The full-space path stays available for degeneracy studies.
+Every sector, full space included, goes through one Lanczos solve
+(eigsh, lowest eigenvalue); the single-state sector at N = 3 is its own
+eigenpair.  The returned pair must satisfy ||Hv - Ev|| within
+1e-10 (eps + lam), or IntegrityError names N, lam and the sector.
 
 Closed forms implemented alongside the numerics: the mean-field energy
 surface over coherent states (1, alpha, beta), its stationary points,
@@ -50,8 +54,12 @@ __all__ = [
     "variational_cat",
 ]
 
-# dense symmetric eigensolver up to here; Lanczos beyond
-DENSE_EIG_LIMIT = 4000
+# ARPACK's floor, not a tuning knob: eigsh needs at least two states, so
+# a sector this small takes its one diagonal entry as the eigenpair
+DENSE_EIG_LIMIT = 1
+
+# ||Hv - Ev|| allowed per unit of (epsilon + lam); measured maxima stay below 1e-14
+_RESIDUAL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -171,23 +179,20 @@ def ground_state(params: LmgParams, sector="even") -> GroundStateResult:
     else:
         parities = (0, 0) if sector == "even" else tuple(int(p) for p in sector)
         basis, idx, dsub, sub = _sector_structure(n, parities)
-    coef = params.lam / (n * (n - 1))
-    scale = params.epsilon / n
+    where = f"N={n}, lam={params.lam!r}, sector={sector!r}"
+    ham = sp.diags(params.epsilon / n * dsub) - params.lam / (n * (n - 1)) * sub
     if idx.size <= DENSE_EIG_LIMIT:
-        dense = -coef * sub.toarray()
-        dense[np.diag_indices_from(dense)] += scale * dsub
-        eigvals, eigvecs = np.linalg.eigh(dense)
-        energy = float(eigvals[0])
-        vec = eigvecs[:, 0]
+        energy, vec = float(ham.diagonal()[0]), np.ones(1)
     else:
-        ham = sp.diags(scale * dsub) - coef * sub
         v0 = np.full(idx.size, 1.0 / math.sqrt(idx.size))
         try:
             eigvals, eigvecs = eigsh(ham, k=1, which="SA", v0=v0)
         except ArpackNoConvergence as exc:
-            raise IntegrityError(f"eigensolver failed to converge: {exc}") from exc
-        energy = float(eigvals[0])
-        vec = eigvecs[:, 0]
+            raise IntegrityError(f"eigensolver failed to converge at {where}: {exc}") from exc
+        energy, vec = float(eigvals[0]), eigvecs[:, 0]
+    residual = float(np.linalg.norm(ham @ vec - energy * vec))
+    if residual > _RESIDUAL_TOL * (params.epsilon + params.lam):
+        raise IntegrityError(f"eigenpair residual {residual:.3e} at {where}")
     full = np.zeros(basis.dim, dtype=np.complex128)
     full[idx] = vec
     # deterministic sign: largest-magnitude coefficient made positive

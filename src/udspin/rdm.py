@@ -33,7 +33,7 @@ from .basis import (
     occupation_ranks,
 )
 from .errors import CapacityError, IntegrityError
-from .states import _cat_context, dcat_expval_tables
+from .states import dcat_expval_tables
 
 __all__ = [
     "level_populations",
@@ -149,14 +149,8 @@ def two_qudit_rdm_from_tables(S: np.ndarray, Q: np.ndarray, n_particles: int) ->
     S = np.asarray(S, dtype=np.complex128)
     Q = np.asarray(Q, dtype=np.complex128)
     d = S.shape[0]
-    rho = np.empty((d * d, d * d), dtype=np.complex128)
-    for i in range(d):
-        for k in range(d):
-            row = i * d + k
-            for j in range(d):
-                for l in range(d):
-                    val = Q[j, i, l, k] - (i == l) * S[j, k]
-                    rho[row, j * d + l] = val / (n * (n - 1))
+    delta = np.einsum("il,jk->ikjl", np.eye(d), S)
+    rho = ((Q.transpose(1, 3, 0, 2) - delta) / (n * (n - 1))).reshape(d * d, d * d)
     return 0.5 * (rho + rho.conj().T)
 
 
@@ -200,19 +194,10 @@ def two_qudit_purity(state: SymmetricState) -> float:
 
 
 def dcat_one_qudit_purity(z, n_particles: int) -> float:
-    """tr(rho1^2) for the even cat state, closed form.
-
-    rho1 is diagonal, so the purity is a ratio of sign-weighted power
-    sums; evaluated through the scale-invariant weights u_b.
-    """
-    n = n_particles
-    z, u, signs, norm2, den = _cat_context(z, n)
-    base = float(np.sum(u ** (n - 1)))
-    acc = base**2
-    for i0 in range(1, z.size):
-        weighted = float(np.sum(signs[:, i0] * u ** (n - 1)))
-        acc += abs(z[i0]) ** 4 * weighted**2
-    return acc / (norm2**2 * den**2)
+    """tr(rho1^2) = sum |<S_ij>|^2 / N^2 for the even cat state, from its
+    closed first-moment table."""
+    S = dcat_expval_tables(z, n_particles)[0]
+    return float(np.sum(np.abs(S) ** 2)) / n_particles**2
 
 
 def dcat_two_qudit_purity(z, n_particles: int) -> float:
