@@ -352,12 +352,7 @@ def expval_sij_skl(state: SymmetricState, i: int, j: int, k: int, l: int) -> com
 
 def expval_matrix(state: SymmetricState) -> np.ndarray:
     """All first moments: S[a, b] = <S_{a+1, b+1}> as a (D, D) array."""
-    d = state.basis.n_levels
-    S = np.empty((d, d), dtype=np.complex128)
-    for i0 in range(d):
-        for j0 in range(d):
-            S[i0, j0] = expval_sij(state, i0 + 1, j0 + 1)
-    return S
+    return expval_tables(state)[0]
 
 
 def expval_tables(state: SymmetricState):

@@ -24,9 +24,15 @@ import numpy as np
 from .basis import SymmetricBasis, expval_tables
 from .errors import CapacityError, ConfigError, EmptySectorError, IntegrityError
 from .lmg import LmgParams, stationary_point, thermo_energy
-from .rdm import entropies, level_populations, one_qudit_rdm, spectrum_entropies, two_qudit_rdm
+from .rdm import (
+    entropies,
+    level_populations,
+    one_qudit_rdm_from_tables,
+    spectrum_entropies,
+    two_qudit_rdm_from_tables,
+)
 from .selftest import run_selftest
-from .squeezing import squeezing_report
+from .squeezing import squeezing_report_from_tables
 from .states import (
     dcat,
     dcat_expval_tables,
@@ -304,6 +310,7 @@ def _cmd_state(args) -> int:
     state, closed, label = _state_and_closed_tables(args)
     n, d = args.n, args.levels
     print(f"state: {args.kind}  N={n}  D={d}  label={label}")
+    S_state, Q_state = expval_tables(state)
     for i in range(1, d + 1):
         report = spectrum_entropies(level_populations(state, i), "level", n, d)
         print(
@@ -311,21 +318,20 @@ def _cmd_state(args) -> int:
             f" von_neumann={_fmt(report.von_neumann)}"
         )
     for title, kind, rho in (
-        ("one atom", "one_atom", one_qudit_rdm(state)),
-        ("two atoms", "two_atom", two_qudit_rdm(state)),
+        ("one atom", "one_atom", one_qudit_rdm_from_tables(S_state, n)),
+        ("two atoms", "two_atom", two_qudit_rdm_from_tables(S_state, Q_state, n)),
     ):
         report = entropies(rho, kind, n, d)
         print(
             f"{title}: purity={_fmt(report.purity)} linear={_fmt(report.linear)}"
             f" von_neumann={_fmt(report.von_neumann)}"
         )
-    squeezing = squeezing_report(state)
+    squeezing = squeezing_report_from_tables(Q_state, n)
     pairs = " ".join(
         f"xi2_{i}{j}={_fmt(value)}" for (i, j), value in sorted(squeezing.pairwise.items())
     )
     print(f"squeezing: {pairs} total={_fmt(squeezing.total)}")
     S_closed, Q_closed = closed
-    S_state, Q_state = expval_tables(state)
     deviation = max(
         float(np.max(np.abs(S_closed - S_state))),
         float(np.max(np.abs(Q_closed - Q_state))),

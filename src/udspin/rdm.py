@@ -155,11 +155,7 @@ def two_qudit_rdm_from_tables(S: np.ndarray, Q: np.ndarray, n_particles: int) ->
 
 
 def two_qudit_rdm(state: SymmetricState) -> np.ndarray:
-    n = state.basis.n_particles
-    if n < 2:
-        raise ValueError("two-particle reduction requires n_particles >= 2")
-    S, Q = expval_tables(state)
-    return two_qudit_rdm_from_tables(S, Q, n)
+    return two_qudit_rdm_from_tables(*expval_tables(state), state.basis.n_particles)
 
 
 def two_qudit_purity_from_tables(S: np.ndarray, Q: np.ndarray, n_particles: int) -> float:
@@ -170,6 +166,8 @@ def two_qudit_purity_from_tables(S: np.ndarray, Q: np.ndarray, n_particles: int)
     term, the cross term (twice), and tr(S)^2.
     """
     n = n_particles
+    if n < 2:
+        raise ValueError("two-particle reduction requires n_particles >= 2")
     S = np.asarray(S, dtype=np.complex128)
     Q = np.asarray(Q, dtype=np.complex128)
     t1 = np.sum(Q.transpose(1, 0, 3, 2) * Q)
@@ -182,11 +180,7 @@ def two_qudit_purity_from_tables(S: np.ndarray, Q: np.ndarray, n_particles: int)
 
 
 def two_qudit_purity(state: SymmetricState) -> float:
-    n = state.basis.n_particles
-    if n < 2:
-        raise ValueError("two-particle reduction requires n_particles >= 2")
-    S, Q = expval_tables(state)
-    return two_qudit_purity_from_tables(S, Q, n)
+    return two_qudit_purity_from_tables(*expval_tables(state), state.basis.n_particles)
 
 
 # ---------------------------------------------------------------------------

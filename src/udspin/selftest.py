@@ -22,7 +22,6 @@ from .basis import (
     dimension,
     expval_sij,
     expval_sij_skl,
-    expval_tables,
 )
 from .lmg import (
     LmgParams,
@@ -39,7 +38,14 @@ from .rdm import (
     two_qudit_rdm,
 )
 from .squeezing import su2_xi, xi_total
-from .states import dcat, dcat_expval_sij_skl, dscs, dscs_expval_sij, nodon, project_even
+from .states import (
+    dcat,
+    dcat_expval_tables,
+    dscs,
+    dscs_expval_tables,
+    nodon,
+    project_even,
+)
 from .sweep import SweepConfig, render_records, run_sweep
 
 __all__ = ["CHECKS", "run_selftest"]
@@ -86,21 +92,23 @@ def _check_coherent_moments() -> None:
     basis = SymmetricBasis(8, 3)
     z = (1.0, 0.6 - 0.3j, 0.2 + 0.5j)
     state = dscs(basis, z)
+    closed, _ = dscs_expval_tables(z, 8)
     for i in (1, 2, 3):
         for j in (1, 2, 3):
-            closed = dscs_expval_sij(z, 8, i, j)
             direct = expval_sij(state, i, j)
-            assert abs(closed - direct) < 1e-11, (i, j, closed, direct)
+            entry = closed[i - 1, j - 1]
+            assert abs(entry - direct) < 1e-11, (i, j, entry, direct)
 
 
 def _check_cat_moments() -> None:
     basis = SymmetricBasis(7, 3)
     z = (1.0, 0.8, 0.45)
     cat = dcat(basis, z)
+    _, closed = dcat_expval_tables(z, 7)
     for indices in ((1, 1, 2, 2), (2, 1, 1, 2), (3, 1, 1, 3), (2, 1, 2, 1)):
-        closed = dcat_expval_sij_skl(z, 7, *indices)
+        entry = closed[tuple(i - 1 for i in indices)]
         direct = expval_sij_skl(cat, *indices)
-        assert abs(closed - direct) < 1e-11, (indices, closed, direct)
+        assert abs(entry - direct) < 1e-11, (indices, entry, direct)
 
 
 def _check_nodon_values() -> None:

@@ -55,15 +55,9 @@ def xi_pair_from_tables(Q: np.ndarray, n_particles: int, i: int, j: int) -> floa
 
 
 def xi_pair(state: SymmetricState, i: int, j: int) -> float:
-    """Pair squeezing parameter via three quadratic expectation values."""
-    d = state.basis.n_levels
-    _check_pair(d, i, j)
-    n = state.basis.n_particles
-    sym = (
-        expval_sij_skl(state, i, j, j, i) + expval_sij_skl(state, j, i, i, j)
-    ).real
-    off = abs(expval_sij_skl(state, i, j, i, j))
-    return clamp_nonneg((sym - 2.0 * off) / (n * (d - 1.0)))
+    """Pair squeezing parameter of a state, read from its moment tables."""
+    _check_pair(state.basis.n_levels, i, j)
+    return xi_pair_from_tables(expval_tables(state)[1], state.basis.n_particles, i, j)
 
 
 def squeezing_report_from_tables(Q: np.ndarray, n_particles: int) -> SqueezingReport:

@@ -12,8 +12,10 @@ Three families are provided:
   condensates |N e_j> with tunable phases.
 
 For each family the closed-form first and second moments of the
-collective operators S_ij are implemented next to the state-vector
-constructor, so the two routes can be cross-checked numerically.
+collective operators S_ij are written once, as the array expression of
+its *_expval_tables function next to the state-vector constructor, so
+the two routes can be cross-checked numerically; per-entry names read
+one entry of that table.
 Closed forms are evaluated scale-invariantly (powers of t_b / |z|^2,
 which lie in [-1, 1]) and stay finite for particle numbers in the
 hundreds where naive powers of |z|^(2N) would overflow.
@@ -35,8 +37,6 @@ __all__ = [
     "representative",
     "dscs",
     "dscs_overlap",
-    "dscs_expval_sij",
-    "dscs_expval_sij_skl",
     "dscs_transition_sij",
     "dscs_expval_tables",
     "parity_apply",
@@ -46,10 +46,8 @@ __all__ = [
     "dcat",
     "dcat_norm_squared",
     "dcat_expval_sij",
-    "dcat_expval_sij_skl",
     "dcat_expval_tables",
     "nodon",
-    "nodon_expval_sij",
     "nodon_expval_sij_skl",
     "nodon_expval_tables",
 ]
@@ -116,25 +114,6 @@ def _check_levels(n_levels: int, *indices: int) -> tuple:
     return tuple(i - 1 for i in indices)
 
 
-def dscs_expval_sij(z, n_particles: int, i: int, j: int) -> complex:
-    """<S_ij> on |z>: N z_i* z_j / |z|^2."""
-    z = _as_orbital(z)
-    i0, j0 = _check_levels(z.size, i, j)
-    norm2 = float(np.vdot(z, z).real)
-    return complex(n_particles * np.conj(z[i0]) * z[j0] / norm2)
-
-
-def dscs_expval_sij_skl(z, n_particles: int, i: int, j: int, k: int, l: int) -> complex:
-    """<S_ij S_kl> on |z>: (z_i* z_l / |z|^4)(N delta_jk |z|^2 + N(N-1) z_k* z_j)."""
-    z = _as_orbital(z)
-    i0, j0, k0, l0 = _check_levels(z.size, i, j, k, l)
-    n = n_particles
-    norm2 = float(np.vdot(z, z).real)
-    front = np.conj(z[i0]) * z[l0] / norm2**2
-    inner = n * (j == k) * norm2 + n * (n - 1) * np.conj(z[k0]) * z[j0]
-    return complex(front * inner)
-
-
 def dscs_transition_sij(z_bra, z_ket, n_particles: int, i: int, j: int) -> complex:
     """<z'| S_ij |z>: N z'_i* z_j (z'* . z)^(N-1) / (|z'| |z|)^N."""
     zb = _as_orbital(z_bra)
@@ -148,44 +127,46 @@ def dscs_transition_sij(z_bra, z_ket, n_particles: int, i: int, j: int) -> compl
 
 
 def dscs_expval_tables(z, n_particles: int):
-    """Closed-form (S, Q) moment tables for |z>, same layout as expval_tables."""
+    """Closed-form (S, Q) moment tables for |z>, same layout as expval_tables.
+
+    With P = z* z^T / |z|^2: S = N P and
+    Q[i, j, k, l] = N P_il delta_jk + N (N - 1) P_il P_kj.
+    """
     z = _as_orbital(z)
-    d = z.size
-    S = np.empty((d, d), dtype=np.complex128)
-    Q = np.empty((d, d, d, d), dtype=np.complex128)
-    for i in range(1, d + 1):
-        for j in range(1, d + 1):
-            S[i - 1, j - 1] = dscs_expval_sij(z, n_particles, i, j)
-            for k in range(1, d + 1):
-                for l in range(1, d + 1):
-                    Q[i - 1, j - 1, k - 1, l - 1] = dscs_expval_sij_skl(
-                        z, n_particles, i, j, k, l
-                    )
-    return S, Q
+    n = n_particles
+    P = np.outer(np.conj(z), z) / np.vdot(z, z).real
+    Q = n * np.einsum("il,jk->ijkl", P, np.eye(z.size))
+    Q += n * (n - 1) * np.einsum("il,kj->ijkl", P, P)
+    return n * P, Q
 
 
 # ---------------------------------------------------------------------------
 # parity operators and even projection
 
 
+def _level_signs(basis: SymmetricBasis, j: int) -> np.ndarray:
+    """(-1)^(n_j) for every occupation of the basis."""
+    (j0,) = _check_levels(basis.n_levels, j)
+    return 1.0 - 2.0 * (basis.occupations[:, j0] % 2)
+
+
 def parity_apply(state: SymmetricState, j: int) -> SymmetricState:
     """Pi_j |psi>: flips the sign of components with odd occupation of level j."""
-    basis = state.basis
-    (j0,) = _check_levels(basis.n_levels, j)
-    signs = 1.0 - 2.0 * (basis.occupations[:, j0] % 2)
-    return SymmetricState(basis, signs * state.coeffs)
+    return SymmetricState(state.basis, _level_signs(state.basis, j) * state.coeffs)
 
 
 def parity_expval(state: SymmetricState, j: int) -> float:
     """<Pi_j> = sum_n (-1)^(n_j) |c_n|^2, real by construction."""
-    basis = state.basis
-    (j0,) = _check_levels(basis.n_levels, j)
-    signs = 1.0 - 2.0 * (basis.occupations[:, j0] % 2)
-    return float(np.sum(signs * np.abs(state.coeffs) ** 2))
+    return float(np.sum(_level_signs(state.basis, j) * np.abs(state.coeffs) ** 2))
 
 
-def _even_mask(basis: SymmetricBasis) -> np.ndarray:
-    return (basis.occupations[:, 1:] % 2 == 0).all(axis=1)
+def _project(state: SymmetricState, parity: str):
+    even = (state.basis.occupations[:, 1:] % 2 == 0).all(axis=1)
+    kept = np.where(even == (parity == "even"), state.coeffs, 0.0)
+    sq = float(np.sum(np.abs(kept) ** 2))
+    if sq < 1e-14:
+        raise EmptySectorError(f"{parity}-parity projection annihilated the state")
+    return SymmetricState(state.basis, kept), sq
 
 
 def project_even(state: SymmetricState):
@@ -194,22 +175,12 @@ def project_even(state: SymmetricState):
     Returns (projected_state, squared_norm); the projected state is NOT
     renormalized.  Raises EmptySectorError if the projection vanishes.
     """
-    mask = _even_mask(state.basis)
-    kept = np.where(mask, state.coeffs, 0.0)
-    sq = float(np.sum(np.abs(kept) ** 2))
-    if sq < 1e-14:
-        raise EmptySectorError("even-parity projection annihilated the state")
-    return SymmetricState(state.basis, kept), sq
+    return _project(state, "even")
 
 
 def project_odd(state: SymmetricState):
     """Complement of project_even; same return convention."""
-    mask = _even_mask(state.basis)
-    kept = np.where(mask, 0.0, state.coeffs)
-    sq = float(np.sum(np.abs(kept) ** 2))
-    if sq < 1e-14:
-        raise EmptySectorError("odd-parity projection annihilated the state")
-    return SymmetricState(state.basis, kept), sq
+    return _project(state, "odd")
 
 
 # ---------------------------------------------------------------------------
@@ -253,87 +224,57 @@ def dcat(basis: SymmetricBasis, z) -> SymmetricState:
     return projected.normalized()
 
 
-def _cat_context(z, n_particles: int):
-    z = representative(_as_orbital(z))
-    u, signs = _cat_weights(z)
-    norm2 = float(np.sum(np.abs(z) ** 2))
-    den = float(np.sum(u**n_particles))
-    if den <= 0.0:
-        raise EmptySectorError("even-parity projection annihilated the state")
-    return z, u, signs, norm2, den
-
-
-def dcat_expval_sij(z, n_particles: int, i: int, j: int) -> complex:
-    """<S_ij> on the even cat state: diagonal in (i, j).
-
-    <S_ii> = N |z_i|^2 sum_b s_bi u_b^(N-1) / (|z|^2 sum_b u_b^N)
-    with s_bi the sign of level i in pattern b (s_b1 = +1).
-    """
-    z, u, signs, norm2, den = _cat_context(z, n_particles)
-    i0, j0 = _check_levels(z.size, i, j)
-    if i0 != j0:
-        return 0j
-    num = float(np.sum(signs[:, i0] * u ** (n_particles - 1))) * abs(z[i0]) ** 2
-    return complex(n_particles * num / (norm2 * den))
-
-
-def _pairing_weight(i0: int, j0: int, k0: int, l0: int) -> int:
-    # nonzero quadratic moments require index pairing (even parity sector):
-    # (i=j, k=l), (i=k, j=l) or (i=l, j=k); the all-equal case counts once
-    sel = (
-        (i0 == j0) * (k0 == l0)
-        + (i0 == k0) * (j0 == l0)
-        + (i0 == l0) * (j0 == k0)
-        - 2 * (i0 == j0) * (j0 == k0) * (k0 == l0)
-    )
-    return int(sel)
-
-
-def dcat_expval_sij_skl(z, n_particles: int, i: int, j: int, k: int, l: int) -> complex:
-    """<S_ij S_kl> on the even cat state.
-
-    Vanishes unless the four indices pair up; otherwise
-
-    N w sum_b s_bi z_i* z_l [delta_jk u_b^(N-1)/|z|^2
-        + (N-1) s_bk z_k* z_j u_b^(N-2)/|z|^4] / sum_b u_b^N
-
-    with pairing weight w in {0, 1}.
-    """
-    n = n_particles
-    z, u, signs, norm2, den = _cat_context(z, n)
-    i0, j0, k0, l0 = _check_levels(z.size, i, j, k, l)
-    sel = _pairing_weight(i0, j0, k0, l0)
-    if sel == 0:
-        return 0j
-    term_a = (j0 == k0) * float(np.sum(signs[:, i0] * u ** (n - 1))) / norm2
-    term_b = 0j
-    if n >= 2:
-        term_b = (
-            (n - 1)
-            * np.conj(z[k0])
-            * z[j0]
-            * float(np.sum(signs[:, i0] * signs[:, k0] * u ** (n - 2)))
-            / norm2**2
-        )
-    return complex(n * sel * np.conj(z[i0]) * z[l0] * (term_a + term_b) / den)
+def _all_equal(d: int) -> np.ndarray:
+    """(D, D, D, D) mask of the index tuples with i = j = k = l."""
+    eye = np.eye(d)
+    return np.einsum("ij,jk,kl->ijkl", eye, eye, eye)
 
 
 def dcat_expval_tables(z, n_particles: int):
-    """Closed-form (S, Q) moment tables for the even cat state."""
-    z = _as_orbital(z)
+    """Closed-form (S, Q) moment tables for the even cat state.
+
+    With representative z (z_1 = 1), sign patterns s_b, overlaps u_b and
+    the sign sums w1[i] = sum_b s_bi u_b^(N-1), w2[i, k] = sum_b s_bi s_bk
+    u_b^(N-2):
+
+    S_ii = N |z_i|^2 w1[i] / (|z|^2 sum_b u_b^N), off-diagonal S vanishes;
+    Q[i, j, k, l] = N p_ijkl z_i* z_l [delta_jk w1[i]/|z|^2
+        + (N-1) z_k* z_j w2[i, k]/|z|^4] / sum_b u_b^N,
+
+    where the pairing weight p_ijkl in {0, 1} is nonzero only when the
+    indices pair up, (i=j, k=l), (i=k, j=l) or (i=l, j=k), as the even
+    sector requires.
+    """
+    n = n_particles
+    z = representative(z)
     d = z.size
-    S = np.zeros((d, d), dtype=np.complex128)
-    Q = np.zeros((d, d, d, d), dtype=np.complex128)
-    for i in range(1, d + 1):
-        S[i - 1, i - 1] = dcat_expval_sij(z, n_particles, i, i)
-        for j in range(1, d + 1):
-            for k in range(1, d + 1):
-                for l in range(1, d + 1):
-                    if _pairing_weight(i - 1, j - 1, k - 1, l - 1):
-                        Q[i - 1, j - 1, k - 1, l - 1] = dcat_expval_sij_skl(
-                            z, n_particles, i, j, k, l
-                        )
+    u, signs = _cat_weights(z)
+    den = float(np.sum(u**n))
+    if den <= 0.0:
+        raise EmptySectorError("even-parity projection annihilated the state")
+    norm2 = float(np.sum(np.abs(z) ** 2))
+    zc = np.conj(z)
+    eye = np.eye(d)
+    w1 = signs.T @ u ** (n - 1)
+    S = np.diag(n * np.abs(z) ** 2 * w1 / (norm2 * den)).astype(np.complex128)
+    inner = np.einsum("jk,i->ijk", eye, w1 / norm2).astype(np.complex128)
+    if n >= 2:
+        w2 = (signs * u[:, None] ** (n - 2)).T @ signs
+        inner += (n - 1) * np.einsum("ik,j,k->ijk", w2, z, zc) / norm2**2
+    pairs = (
+        np.einsum("ij,kl->ijkl", eye, eye)
+        + np.einsum("ik,jl->ijkl", eye, eye)
+        + np.einsum("il,jk->ijkl", eye, eye)
+        - 2.0 * _all_equal(d)
+    )
+    Q = n * pairs * np.einsum("i,l,ijk->ijkl", zc, z, inner) / den
     return S, Q
+
+
+def dcat_expval_sij(z, n_particles: int, i: int, j: int) -> complex:
+    """<S_ij> on the even cat state: one entry of dcat_expval_tables."""
+    S, _ = dcat_expval_tables(z, n_particles)
+    return complex(S[_check_levels(S.shape[0], i, j)])
 
 
 # ---------------------------------------------------------------------------
@@ -357,40 +298,26 @@ def nodon(basis: SymmetricBasis, phases=None) -> SymmetricState:
     return SymmetricState(basis, coeffs)
 
 
-def nodon_expval_sij(n_particles: int, n_levels: int, i: int, j: int) -> complex:
-    """<S_ij> = (N/D) delta_ij, phase-independent."""
-    _check_levels(n_levels, i, j)
-    return complex(n_particles / n_levels) if i == j else 0j
+def nodon_expval_tables(n_particles: int, n_levels: int):
+    """Closed-form (S, Q) moment tables for the NOON-type state, N >= 3.
+
+    S = (N/D) 1 and Q[i, j, k, l] = (N/D) delta_il (delta_jk
+    + (N-1) delta_ik delta_ij), both phase-independent.  For N <= 2 a
+    single S_ij can hop between two condensates and extra cross terms
+    appear, so smaller N is rejected.
+    """
+    if n_particles < 3:
+        raise ValueError("closed form requires n_particles >= 3")
+    n, d = n_particles, n_levels
+    eye = np.eye(d)
+    S = (n / d * eye).astype(np.complex128)
+    Q = n / d * (np.einsum("il,jk->ijkl", eye, eye) + (n - 1) * _all_equal(d))
+    return S, Q.astype(np.complex128)
 
 
 def nodon_expval_sij_skl(
     n_particles: int, n_levels: int, i: int, j: int, k: int, l: int
 ) -> complex:
-    """<S_ij S_kl> = (N/D) delta_il (delta_jk + (N-1) delta_ik delta_ij), N >= 3.
-
-    For N <= 2 a single S_ij can hop between two condensates and extra
-    cross terms appear; callers must stay at N >= 3.
-    """
-    if n_particles < 3:
-        raise ValueError("closed form requires n_particles >= 3")
-    _check_levels(n_levels, i, j, k, l)
-    if i != l:
-        return 0j
-    value = (j == k) + (n_particles - 1) * (i == k) * (i == j)
-    return complex(n_particles * value / n_levels)
-
-
-def nodon_expval_tables(n_particles: int, n_levels: int):
-    """Closed-form (S, Q) moment tables for the NOON-type state."""
-    d = n_levels
-    S = np.zeros((d, d), dtype=np.complex128)
-    Q = np.zeros((d, d, d, d), dtype=np.complex128)
-    for i in range(1, d + 1):
-        S[i - 1, i - 1] = nodon_expval_sij(n_particles, d, i, i)
-        for j in range(1, d + 1):
-            for k in range(1, d + 1):
-                for l in range(1, d + 1):
-                    Q[i - 1, j - 1, k - 1, l - 1] = nodon_expval_sij_skl(
-                        n_particles, d, i, j, k, l
-                    )
-    return S, Q
+    """<S_ij S_kl> on the NOON-type state: one entry of nodon_expval_tables."""
+    _, Q = nodon_expval_tables(n_particles, n_levels)
+    return complex(Q[_check_levels(n_levels, i, j, k, l)])
