@@ -197,7 +197,7 @@ class SymmetricBasis:
         self.dim = dimension(n_particles, n_levels)
         self.occupations = enumerate_occupations(n_particles, n_levels)
         self.occupations.setflags(write=False)
-        self._moves: dict = {}
+        self._move_cache: dict = {}
 
     def __repr__(self) -> str:
         return (
@@ -228,22 +228,32 @@ class SymmetricBasis:
 
     def _transitions0(self, i0: int, j0: int):
         key = (i0, j0)
-        cached = self._moves.get(key)
-        if cached is not None:
-            return cached
-        occ = self.occupations
-        if i0 == j0:
-            idx = np.arange(self.dim)
-            trip = (idx, idx, occ[:, i0].astype(np.float64))
-        else:
-            src = np.flatnonzero(occ[:, j0] > 0)
-            amp = np.sqrt((occ[src, i0] + 1.0) * occ[src, j0])
-            shifted = occ[src].copy()
-            shifted[:, i0] += 1
-            shifted[:, j0] -= 1
-            trip = (src, occupation_ranks(shifted), amp)
-        self._moves[key] = trip
-        return trip
+        if key not in self._move_cache:
+            self._move_cache[key] = _moves(self.occupations, i0, j0, 1)
+        return self._move_cache[key]
+
+
+def _moves(occupations: np.ndarray, i0: int, j0: int, power: int):
+    """Sparse action of S_ij**power on an occupation table: (src, dst, amp).
+
+    The one place the Schwinger move is written: each row with n_j >=
+    power moves `power` bosons from level j to level i, with amplitude
+    sqrt(prod_t (n_i + 1 + t) (n_j - t)).  The product is formed in
+    integers, exact in float64 for every sector MAX_TABLE_BYTES admits.
+    """
+    occ = occupations
+    if i0 == j0:
+        idx = np.arange(occ.shape[0])
+        return idx, idx, occ[:, i0].astype(np.float64) ** power
+    src = np.flatnonzero(occ[:, j0] >= power)
+    ni, nj = occ[src, i0], occ[src, j0]
+    product = np.ones(src.size, dtype=np.int64)
+    for t in range(power):
+        product *= (ni + 1 + t) * (nj - t)
+    shifted = occ[src]
+    shifted[:, i0] += power
+    shifted[:, j0] -= power
+    return src, occupation_ranks(shifted), np.sqrt(product.astype(np.float64))
 
 
 @lru_cache(maxsize=16)
@@ -360,17 +370,19 @@ def expval_tables(state: SymmetricState):
 
     Returns (S, Q) with S[a, b] = <S_{a+1, b+1}> of shape (D, D) and
     Q[a, b, c, e] = <S_{a+1, b+1} S_{c+1, e+1}> of shape (D, D, D, D).
-    Cost: D**2 sparse applies plus one Gram matrix product, instead of
-    D**4 independent quadratic evaluations.
+    Cost: D**2 memoized moves scattered into one (D**2, dim) block plus
+    one Gram matrix product, instead of D**4 quadratic evaluations.
     """
     basis = state.basis
     d = basis.n_levels
-    applied = np.empty((d * d, basis.dim), dtype=np.complex128)
+    c = state.coeffs
+    applied = np.zeros((d * d, basis.dim), dtype=np.complex128)
     for i0 in range(d):
         for j0 in range(d):
-            applied[i0 * d + j0] = apply_sij(state, i0 + 1, j0 + 1).coeffs
+            src, dst, amp = basis._transitions0(i0, j0)
+            applied[i0 * d + j0, dst] = amp * c[src]
     # gram[p, q] = <S_p psi | S_q psi>; with p = (j, i) this is <S_ij S_q>
     gram = np.conj(applied) @ applied.T
-    S = (np.conj(state.coeffs) @ applied.T).reshape(d, d)
+    S = (np.conj(c) @ applied.T).reshape(d, d)
     Q = gram.reshape(d, d, d, d).transpose(1, 0, 2, 3)
     return S, Q

@@ -61,37 +61,20 @@ __all__ = ["build_parser", "load_config", "main", "entry"]
 #: moment tables must agree to this absolute tolerance.
 STATE_CHECK_TOL = 1e-8
 
+#: Defaults with no config dataclass to hold them; SweepConfig and
+#: SurfaceConfig supply every other default.
 _DEFAULTS = {
-    "sweep": dict(
-        n=50,
-        epsilon=1.0,
-        sources=",".join(SWEEP_SOURCES),
-        observables=",".join(SWEEP_OBSERVABLES),
-        format="csv",
-        jobs=1,
-    ),
+    "sweep": dict(format="csv"),
     "phase": dict(epsilon=1.0, lam=1.0),
     "state": dict(kind="dscs", n=10, levels=3),
-    "surface": dict(
-        n=10,
-        epsilon=1.0,
-        lam=1.0,
-        kind="dcat",
-        coords="alpha_beta",
-        observable="level_entropy_1",
-        a_min=0.0,
-        a_max=2.0,
-        a_count=41,
-        b_min=0.0,
-        b_max=2.0,
-        b_count=41,
-        format="csv",
-    ),
+    "surface": dict(format="csv"),
     "selftest": {},
 }
 
 
-def _split_list(text: str) -> tuple:
+def _split_list(text: str | None) -> tuple | None:
+    if text is None:
+        return None  # flag not given
     return tuple(part.strip() for part in text.split(",") if part.strip())
 
 
@@ -247,15 +230,23 @@ def _resolve_lambdas(args) -> tuple:
     )
 
 
+def _given(**fields) -> dict:
+    """The config fields a flag or config file set; the rest keep the
+    config dataclass defaults."""
+    return {name: value for name, value in fields.items() if value is not None}
+
+
 def _cmd_sweep(args) -> int:
     _require_out(args)
     config = SweepConfig(
-        n_particles=args.n,
-        epsilon=args.epsilon,
         lambdas=_resolve_lambdas(args),
-        sources=_split_list(args.sources),
-        observables=_split_list(args.observables),
-        jobs=args.jobs,
+        **_given(
+            n_particles=args.n,
+            epsilon=args.epsilon,
+            sources=_split_list(args.sources),
+            observables=_split_list(args.observables),
+            jobs=args.jobs,
+        ),
     )
     records = run_sweep(config)
     write_records(records, args.out, args.format)
@@ -347,21 +338,23 @@ def _cmd_state(args) -> int:
 def _cmd_surface(args) -> int:
     _require_out(args)
     config = SurfaceConfig(
-        n_particles=args.n,
-        epsilon=args.epsilon,
-        lam=args.lam,
-        kind=args.kind,
-        coords=args.coords,
-        observable=args.observable,
-        a_min=args.a_min,
-        a_max=args.a_max,
-        a_count=args.a_count,
-        b_min=args.b_min,
-        b_max=args.b_max,
-        b_count=args.b_count,
+        **_given(
+            n_particles=args.n,
+            epsilon=args.epsilon,
+            lam=args.lam,
+            kind=args.kind,
+            coords=args.coords,
+            observable=args.observable,
+            a_min=args.a_min,
+            a_max=args.a_max,
+            a_count=args.a_count,
+            b_min=args.b_min,
+            b_max=args.b_max,
+            b_count=args.b_count,
+        )
     )
     sidecar = write_surface(config, args.out, args.format)
-    rows = config.validated().a_count * config.validated().b_count
+    rows = config.a_count * config.b_count
     print(f"wrote {rows} rows to {args.out} (stationary curve: {sidecar})")
     return 0
 

@@ -28,12 +28,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import permutations
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
-from .basis import SymmetricBasis, SymmetricState, occupation_ranks, shared_basis
+from .basis import SymmetricBasis, SymmetricState, _moves, shared_basis
 from .errors import EmptySectorError, IntegrityError
 from .states import dcat, parity_expval
 
@@ -74,10 +75,10 @@ class LmgParams:
     def __post_init__(self):
         if self.n_particles < 3:
             raise ValueError(f"need n_particles >= 3, got {self.n_particles}")
-        if not self.epsilon > 0:
-            raise ValueError(f"need epsilon > 0, got {self.epsilon!r}")
-        if self.lam < 0:
-            raise ValueError(f"need lam >= 0, got {self.lam!r}")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
+            raise ValueError(f"need finite epsilon > 0, got {self.epsilon!r}")
+        if not (math.isfinite(self.lam) and self.lam >= 0):
+            raise ValueError(f"need finite lam >= 0, got {self.lam!r}")
         if self.n_levels != 3:
             raise ValueError("closed forms and Hamiltonian require n_levels == 3")
 
@@ -104,29 +105,12 @@ def _workspace(n_particles: int):
     matrix sum_{i!=j} S_ij^2, assembled once per N."""
     basis = shared_basis(n_particles, 3)
     occ = basis.occupations
-    d = basis.n_levels
-    diag = (occ[:, d - 1] - occ[:, 0]).astype(np.float64)
-    rows, cols, vals = [], [], []
-    for i0 in range(d):
-        for j0 in range(d):
-            if i0 == j0:
-                continue
-            src = np.flatnonzero(occ[:, j0] >= 2)
-            if src.size == 0:
-                continue
-            ni = occ[src, i0].astype(np.float64)
-            nj = occ[src, j0].astype(np.float64)
-            amp = np.sqrt((ni + 1.0) * (ni + 2.0) * nj * (nj - 1.0))
-            shifted = occ[src].copy()
-            shifted[:, i0] += 2
-            shifted[:, j0] -= 2
-            rows.append(occupation_ranks(shifted))
-            cols.append(src)
-            vals.append(amp)
-    coupling = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(basis.dim, basis.dim),
-    ).tocsr()
+    diag = (occ[:, 2] - occ[:, 0]).astype(np.float64)
+    # summed one (i, j) pair at a time: holds less than one concatenated COO
+    coupling = sp.csr_matrix((basis.dim, basis.dim))
+    for i0, j0 in permutations(range(3), 2):
+        src, dst, amp = _moves(occ, i0, j0, 2)
+        coupling = coupling + sp.csr_matrix((amp, (dst, src)), shape=coupling.shape)
     return basis, diag, coupling
 
 

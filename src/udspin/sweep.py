@@ -78,26 +78,34 @@ SWEEP_OBSERVABLES = (
     "energy",
 )
 
-#: Fixed sweep column order; the serialized name of the coupling is
-#: "lambda" while the dataclass field is ``lam``.
-CSV_COLUMNS = (
-    "lambda",
-    "source",
-    "energy",
-    "L_level_1",
-    "L_level_2",
-    "L_level_3",
-    "L1_atom",
-    "L2_atom",
-    "xi2_total",
-    "xi2_21",
-    "xi2_31",
-    "xi2_32",
-    "alpha0",
-    "beta0",
-)
 
-#: Range rule of each checked column; other columns are unconstrained.
+@dataclass(frozen=True)
+class SweepRecord:
+    """One output row; unselected observables stay None."""
+
+    lam: float
+    source: str
+    energy: float = None
+    L_level_1: float = None
+    L_level_2: float = None
+    L_level_3: float = None
+    L1_atom: float = None
+    L2_atom: float = None
+    xi2_total: float = None
+    xi2_21: float = None
+    xi2_31: float = None
+    xi2_32: float = None
+    alpha0: float = None
+    beta0: float = None
+
+
+_RECORD_FIELDS = tuple(f.name for f in fields(SweepRecord))
+
+#: Fixed sweep column order: the SweepRecord fields, with the coupling
+#: ``lam`` serialized as "lambda".
+CSV_COLUMNS = tuple("lambda" if name == "lam" else name for name in _RECORD_FIELDS)
+
+#: Range rule of each checked column; other numeric columns need only be finite.
 _COLUMN_KINDS = {
     **dict.fromkeys(("L_level_1", "L_level_2", "L_level_3", "L1_atom", "L2_atom"), "entropy"),
     **dict.fromkeys(("xi2_total", "xi2_21", "xi2_31", "xi2_32"), "squeezing"),
@@ -105,8 +113,11 @@ _COLUMN_KINDS = {
 
 
 def _check_range(kind, value: float, where: str) -> None:
-    """The one range rule of written tables: entropies lie in [0, 1] and
-    squeezing is non-negative; kind None is unconstrained."""
+    """The one range rule of written tables: every number is finite,
+    entropies lie in [0, 1] and squeezing is non-negative; kind None
+    sets no range."""
+    if not math.isfinite(value):
+        raise IntegrityError(f"{where}: non-finite value {value!r}")
     if kind == "entropy" and not 0.0 <= value <= 1.0:
         raise IntegrityError(f"{where}: entropy {value!r} outside [0, 1]")
     if kind == "squeezing" and value < 0.0:
@@ -175,30 +186,6 @@ class SweepConfig:
         )
 
 
-@dataclass(frozen=True)
-class SweepRecord:
-    """One output row; unselected observables stay None."""
-
-    lam: float
-    source: str
-    energy: float = None
-    L_level_1: float = None
-    L_level_2: float = None
-    L_level_3: float = None
-    L1_atom: float = None
-    L2_atom: float = None
-    xi2_total: float = None
-    xi2_21: float = None
-    xi2_31: float = None
-    xi2_32: float = None
-    alpha0: float = None
-    beta0: float = None
-
-
-_RECORD_FIELDS = tuple(f.name for f in fields(SweepRecord))
-assert len(_RECORD_FIELDS) == len(CSV_COLUMNS)
-
-
 def _sweep_point(config: SweepConfig, lam: float) -> tuple:
     """All records for one coupling, sources in canonical order."""
     basis = shared_basis(config.n_particles, 3)
@@ -265,7 +252,7 @@ def _check_records(records) -> None:
     for record in records:
         for name, column in zip(_RECORD_FIELDS, CSV_COLUMNS):
             value = getattr(record, name)
-            if value is not None:
+            if column != "source" and value is not None:
                 _check_range(
                     _COLUMN_KINDS.get(column), value, f"{column} at lambda = {record.lam}"
                 )
@@ -317,9 +304,9 @@ def write_records(records, path, fmt: str = "csv") -> None:
 
 
 def _check_row_values(row: dict, where: str) -> None:
-    for column in CSV_COLUMNS[2:]:
+    for column in CSV_COLUMNS:
         raw = row.get(column)
-        if raw is not None and raw != "":
+        if column != "source" and raw is not None and raw != "":
             _check_range(_COLUMN_KINDS.get(column), float(raw), f"{where}: {column}")
 
 
@@ -469,8 +456,8 @@ def write_surface(config: SurfaceConfig, path, fmt: str = "csv") -> str:
     """Write the surface table plus a stationary-curve sidecar.
 
     Returns the sidecar path.  The observable column is validated
-    post-write: entropies must lie in [0, 1] and squeezing must be
-    non-negative (the energy surface is unconstrained).
+    post-write: every value must be finite, entropies must lie in
+    [0, 1] and squeezing must be non-negative.
     """
     cfg = config.validated()
     if fmt not in ("csv", "json"):
