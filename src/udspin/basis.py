@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import permutations
 
 import numpy as np
 
@@ -183,8 +184,8 @@ class SymmetricBasis:
     """Ranked enumeration of the symmetric (N, D) sector.
 
     Immutable after construction and safe to share across threads or
-    (pickled) worker processes.  Holds the occupation table and memoized
-    one-move tables for every S_ij; ranks come from occupation_ranks.
+    (pickled) worker processes.  Holds the occupation table, memoized
+    S_ij one-move tables and parity sectors; ranks come from occupation_ranks.
     """
 
     def __init__(self, n_particles: int, n_levels: int):
@@ -198,6 +199,7 @@ class SymmetricBasis:
         self.occupations = enumerate_occupations(n_particles, n_levels)
         self.occupations.setflags(write=False)
         self._move_cache: dict = {}
+        self._sector_cache: dict = {}
 
     def __repr__(self) -> str:
         return (
@@ -231,6 +233,24 @@ class SymmetricBasis:
         if key not in self._move_cache:
             self._move_cache[key] = _moves(self.occupations, i0, j0, 1)
         return self._move_cache[key]
+
+    def parity_sector(self, parities):
+        """Memoized (ranks, moves) of the sector whose levels 2..D have the
+        given 0/1 parities.  S_ij**2 keeps every parity, so moves[(i0, j0)]
+        (i0 != j0) is its (src, dst, amp) table in sector indices, the one
+        table the LMG coupling and expval_tables read."""
+        key = tuple(int(p) for p in parities)
+        if len(key) != self.n_levels - 1 or any(p not in (0, 1) for p in key):
+            raise ValueError(f"need {self.n_levels - 1} parities from {{0, 1}}")
+        if key not in self._sector_cache:
+            ranks = np.flatnonzero((self.occupations[:, 1:] % 2 == key).all(axis=1))
+            ranks.setflags(write=False)
+            moves = {}
+            for i0, j0 in permutations(range(self.n_levels), 2):
+                src, dst, amp = _moves(self.occupations[ranks], i0, j0, 2)
+                moves[i0, j0] = src, np.searchsorted(ranks, dst), amp
+            self._sector_cache[key] = ranks, moves
+        return self._sector_cache[key]
 
 
 def _moves(occupations: np.ndarray, i0: int, j0: int, power: int):
@@ -370,12 +390,29 @@ def expval_tables(state: SymmetricState):
 
     Returns (S, Q) with S[a, b] = <S_{a+1, b+1}> of shape (D, D) and
     Q[a, b, c, e] = <S_{a+1, b+1} S_{c+1, e+1}> of shape (D, D, D, D).
-    Cost: D**2 memoized moves scattered into one (D**2, dim) block plus
-    one Gram matrix product, instead of D**4 quadratic evaluations.
+    On one parity sector every S_ij (i != j) leaves the sector, so S =
+    diag<n_i> and Q holds only <n_i n_k>, <S_ij S_ji> = <n_i (n_j + 1)>
+    and <S_ij^2> (from the sector's moves): O(dim) reductions.  Any other
+    state pays D**2 memoized moves scattered into one (D**2, dim) block
+    plus one Gram matrix product, instead of D**4 quadratic evaluations.
     """
     basis = state.basis
     d = basis.n_levels
     c = state.coeffs
+    support = basis.occupations[np.flatnonzero(c), 1:] % 2
+    if support.size and (support == support[0]).all():
+        ranks, moves = basis.parity_sector(support[0])
+        n = basis.occupations[ranks].astype(np.float64)
+        c = c[ranks]
+        weighted = n.T * np.abs(c) ** 2
+        mean, nn = weighted.sum(axis=1), weighted @ n
+        Q = np.zeros((d,) * 4, dtype=np.complex128)
+        a, b = np.arange(d)[:, None], np.arange(d)
+        Q[a, b, b, a] = nn + mean[:, None]
+        Q[a, a, b, b] = nn  # overwrites a = b above, where <S_aa S_aa> = <n_a^2>
+        for (i0, j0), (src, dst, amp) in moves.items():
+            Q[i0, j0, i0, j0] = np.vdot(c[dst], amp * c[src])
+        return np.diag(mean).astype(np.complex128), Q
     applied = np.zeros((d * d, basis.dim), dtype=np.complex128)
     for i0 in range(d):
         for j0 in range(d):

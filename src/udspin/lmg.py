@@ -9,7 +9,8 @@ symmetric sector and commutes with every level parity Pi_j.  The ground
 state lies in the fully even sector (n_2, n_3 both even); diagonalization
 restricts there by default, which also picks a deterministic
 representative among the near-degenerate finite-N levels of the broken
-phases.  The full-space path stays available for degeneracy studies.
+phases.  A parity sector is assembled from its own S_ij^2 moves; the
+full-space coupling is built only for sector "full" and build_hamiltonian.
 Every sector, full space included, goes through one Lanczos solve
 (eigsh, lowest eigenvalue); the single-state sector at N = 3 is its own
 eigenpair.  The returned pair must satisfy ||Hv - Ev|| within
@@ -34,7 +35,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
-from .basis import SymmetricBasis, SymmetricState, _moves, shared_basis
+from .basis import SymmetricBasis, SymmetricState, _moves, expval_tables, shared_basis
 from .errors import EmptySectorError, IntegrityError
 from .states import dcat, parity_expval
 
@@ -99,19 +100,24 @@ class GroundStateResult:
     parity_signature: np.ndarray
 
 
+def _assemble(occupations: np.ndarray, moves):
+    """Splitting vector n_3 - n_1 and coupling sum_{i!=j} S_ij^2 on an
+    occupation table, from its S_ij^2 move tables summed one (i, j) pair
+    at a time: holds less than one concatenated COO."""
+    coupling = sp.csr_matrix((occupations.shape[0],) * 2)
+    for src, dst, amp in moves:
+        coupling = coupling + sp.csr_matrix((amp, (dst, src)), shape=coupling.shape)
+    return (occupations[:, 2] - occupations[:, 0]).astype(np.float64), coupling
+
+
 @lru_cache(maxsize=16)
 def _workspace(n_particles: int):
-    """Shared basis, diagonal splitting vector n_D - n_1 and the coupling
-    matrix sum_{i!=j} S_ij^2, assembled once per N."""
+    """Shared basis, splitting vector and full-space coupling, once per N;
+    only sector="full" and build_hamiltonian read it."""
     basis = shared_basis(n_particles, 3)
     occ = basis.occupations
-    diag = (occ[:, 2] - occ[:, 0]).astype(np.float64)
-    # summed one (i, j) pair at a time: holds less than one concatenated COO
-    coupling = sp.csr_matrix((basis.dim, basis.dim))
-    for i0, j0 in permutations(range(3), 2):
-        src, dst, amp = _moves(occ, i0, j0, 2)
-        coupling = coupling + sp.csr_matrix((amp, (dst, src)), shape=coupling.shape)
-    return basis, diag, coupling
+    moves = (_moves(occ, i0, j0, 2) for i0, j0 in permutations(range(3), 2))
+    return (basis, *_assemble(occ, moves))
 
 
 def build_hamiltonian(basis: SymmetricBasis, params: LmgParams) -> sp.csr_matrix:
@@ -128,12 +134,7 @@ def build_hamiltonian(basis: SymmetricBasis, params: LmgParams) -> sp.csr_matrix
 
 def parity_sector_indices(basis: SymmetricBasis, parities) -> np.ndarray:
     """Basis ranks whose occupations of levels 2..D have the given parities."""
-    parities = tuple(int(p) for p in parities)
-    if len(parities) != basis.n_levels - 1 or any(p not in (0, 1) for p in parities):
-        raise ValueError(f"need {basis.n_levels - 1} parities from {{0, 1}}")
-    rest = basis.occupations[:, 1:] % 2
-    mask = (rest == np.asarray(parities)).all(axis=1)
-    return np.flatnonzero(mask)
+    return basis.parity_sector(parities)[0]
 
 
 def even_sector_indices(basis: SymmetricBasis) -> np.ndarray:
@@ -142,27 +143,34 @@ def even_sector_indices(basis: SymmetricBasis) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def _sector_structure(n_particles: int, parities):
-    basis, diag, coupling = _workspace(n_particles)
-    idx = parity_sector_indices(basis, parities)
+    """Ranks, splitting vector and coupling of one parity sector, from the
+    sector's own moves: the full-space coupling sliced, never built."""
+    basis = shared_basis(n_particles, 3)
+    idx, moves = basis.parity_sector(parities)
     if idx.size == 0:
         raise EmptySectorError(f"parity sector {parities} is empty")
-    sub = coupling[idx][:, idx]
-    return basis, idx, diag[idx], sub
+    return (basis, idx, *_assemble(basis.occupations[idx], moves.values()))
 
 
 def ground_state(params: LmgParams, sector="even") -> GroundStateResult:
     """Lowest eigenpair of H, restricted to a parity sector.
 
-    sector: "even" (default, where the ground state lives), "full", or an
-    explicit parity tuple over levels 2..D for degeneracy studies.
+    sector: "even" (default, where the ground state lives), "full", or a
+    pair of 0/1 parities for levels 2 and 3, for degeneracy studies.
     """
     n = params.n_particles
     if sector == "full":
         basis, dsub, sub = _workspace(n)
         idx = np.arange(basis.dim)
     else:
-        parities = (0, 0) if sector == "even" else tuple(int(p) for p in sector)
-        basis, idx, dsub, sub = _sector_structure(n, parities)
+        parities = (0, 0) if sector == "even" else sector
+        pair = isinstance(parities, (tuple, list)) and len(parities) == 2
+        if not (pair and {*parities} <= {0, 1}):
+            raise ValueError(
+                f"sector must be 'even', 'full' or a pair of 0/1 parities for levels 2 and 3,"
+                f" got {sector!r}"
+            )
+        basis, idx, dsub, sub = _sector_structure(n, tuple(int(p) for p in parities))
     where = f"N={n}, lam={params.lam!r}, sector={sector!r}"
     ham = sp.diags(params.epsilon / n * dsub) - params.lam / (n * (n - 1)) * sub
     if idx.size <= DENSE_EIG_LIMIT:
@@ -254,15 +262,16 @@ def thermo_curvature(params: LmgParams, phase: str | None = None):
 
 
 def variational_energy(state: SymmetricState, params: LmgParams) -> float:
-    """Rayleigh quotient <psi|H|psi> for a normalized three-level state."""
+    """Rayleigh quotient <psi|H|psi> for a normalized three-level state, from
+    its moment tables: eps/N (S_33 - S_11) - lam/(N(N-1)) sum_{i!=j} <S_ij^2>."""
     basis = state.basis
     if basis.n_levels != 3 or basis.n_particles != params.n_particles:
         raise ValueError("state sector does not match params")
-    _, diag, coupling = _workspace(params.n_particles)
-    c = state.coeffs
+    S, Q = expval_tables(state)
     n = params.n_particles
-    kin = params.epsilon / n * float(np.sum(diag * np.abs(c) ** 2))
-    quad = float(np.vdot(c, coupling @ c).real)
+    i, j = np.nonzero(~np.eye(3, dtype=bool))
+    kin = params.epsilon / n * float((S[2, 2] - S[0, 0]).real)
+    quad = float(Q[i, j, i, j].sum().real)
     return kin - params.lam / (n * (n - 1)) * quad
 
 

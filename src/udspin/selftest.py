@@ -124,10 +124,11 @@ def _check_nodon_values() -> None:
 def _check_rdm_oracle() -> None:
     rng = np.random.default_rng(_SEED + 1)
     basis = SymmetricBasis(5, 3)
-    state = _random_state(basis, rng)
-    rho2 = two_qudit_rdm(state)
-    oracle = partial_trace_oracle(state, keep=2)
-    assert np.max(np.abs(rho2 - oracle)) < 1e-10
+    # a generic state takes the Gram route, a parity-definite one the sector route
+    for state in (_random_state(basis, rng), _random_even_state(basis, rng)):
+        rho2 = two_qudit_rdm(state)
+        oracle = partial_trace_oracle(state, keep=2)
+        assert np.max(np.abs(rho2 - oracle)) < 1e-10
 
 
 def _check_squeezing_reduction() -> None:

@@ -124,6 +124,12 @@ def _check_range(kind, value: float, where: str) -> None:
         raise IntegrityError(f"{where}: squeezing {value!r} negative")
 
 
+def _check_count(value, name: str, minimum: int) -> None:
+    """A count is an integer, not a bool, of at least `minimum`."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        raise ConfigError(f"{name} must be an integer of at least {minimum}, got {value!r}")
+
+
 def default_lambda_grid(epsilon: float = 1.0) -> tuple[float, ...]:
     """121 evenly spaced couplings on [0, 6*epsilon], criticals exact.
 
@@ -162,12 +168,10 @@ class SweepConfig:
 
     def validated(self) -> "SweepConfig":
         """Normalized copy; raises ConfigError on any bad field."""
-        if self.n_particles < 3:
-            raise ConfigError("n_particles must be at least 3")
+        _check_count(self.n_particles, "n_particles", 3)
         if not (math.isfinite(self.epsilon) and self.epsilon > 0):
             raise ConfigError("epsilon must be positive and finite")
-        if not isinstance(self.jobs, int) or self.jobs < 1:
-            raise ConfigError("jobs must be a positive integer")
+        _check_count(self.jobs, "jobs", 1)
         lams = tuple(float(x) for x in self.lambdas)
         if not lams:
             lams = default_lambda_grid(self.epsilon)
@@ -377,8 +381,7 @@ class SurfaceConfig:
     b_count: int = 41
 
     def validated(self) -> "SurfaceConfig":
-        if self.n_particles < 3:
-            raise ConfigError("n_particles must be at least 3")
+        _check_count(self.n_particles, "n_particles", 3)
         if not (math.isfinite(self.epsilon) and self.epsilon > 0):
             raise ConfigError("epsilon must be positive and finite")
         if self.kind not in SURFACE_KINDS:
@@ -391,8 +394,7 @@ class SurfaceConfig:
             (self.a_min, self.a_max, self.a_count, "a"),
             (self.b_min, self.b_max, self.b_count, "b"),
         ):
-            if count < 2:
-                raise ConfigError(f"{axis}_count must be at least 2")
+            _check_count(count, f"{axis}_count", 2)
             if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
                 raise ConfigError(f"need finite {axis}_min < {axis}_max")
         if self.coords == "xy":
