@@ -10,7 +10,8 @@ surface   observable over a real grid of state labels -> table + sidecar
 selftest  built-in oracle suite
 
 A flat ``key=value`` config file can prefill any flag of the chosen
-subcommand; explicit command-line flags win.  Exit codes: 0 success,
+subcommand: each entry is parsed as the flag ``--key=value``, ahead of
+the command line, so explicit command-line flags win.  Exit codes: 0 success,
 2 configuration/usage error, 3 numerical integrity failure.
 """
 
@@ -61,17 +62,6 @@ __all__ = ["build_parser", "load_config", "main", "entry"]
 #: moment tables must agree to this absolute tolerance.
 STATE_CHECK_TOL = 1e-8
 
-#: Defaults with no config dataclass to hold them; SweepConfig and
-#: SurfaceConfig supply every other default.
-_DEFAULTS = {
-    "sweep": dict(format="csv"),
-    "phase": dict(epsilon=1.0, lam=1.0),
-    "state": dict(kind="dscs", n=10, levels=3),
-    "surface": dict(format="csv"),
-    "selftest": {},
-}
-
-
 def _split_list(text: str | None) -> tuple | None:
     if text is None:
         return None  # flag not given
@@ -110,98 +100,78 @@ def load_config(path) -> dict:
     return data
 
 
-def build_parser():
-    """Returns (parser, registry); registry maps command -> dest -> action."""
+def build_parser() -> argparse.ArgumentParser:
+    """The udspin parser.  Flags left out parse as None where SweepConfig or
+    SurfaceConfig holds the default, so None means "not given"."""
     parser = argparse.ArgumentParser(
         prog="udspin",
         description="Collective observables of symmetric D-level systems.",
     )
     commands = parser.add_subparsers(dest="command", required=True)
-    registry = {}
-
-    def register(sub, *args, **kwargs):
-        action = sub.add_argument(*args, **kwargs)
-        registry[sub.prog.split()[-1]][action.dest] = action
-        return action
 
     def command(name, help_text):
         sub = commands.add_parser(name, help=help_text)
-        registry[name] = {}
-        sub.set_defaults(command=name)
-        register(sub, "--config", help="flat key=value file prefilling any flag")
+        sub.add_argument("--config", help="flat key=value file prefilling any flag")
         return sub
 
     sweep = command("sweep", "coupling sweep to a CSV/JSON table")
-    register(sweep, "--n", type=int, help="particle number (default 50)")
-    register(sweep, "--epsilon", type=float, help="level splitting (default 1)")
-    register(sweep, "--lambda-min", type=float, help="grid start")
-    register(sweep, "--lambda-max", type=float, help="grid end")
-    register(sweep, "--lambda-count", type=int, help="grid size")
-    register(sweep, "--lambdas", help="explicit comma-separated couplings")
-    register(sweep, "--sources", help=f"subset of {','.join(SWEEP_SOURCES)}")
-    register(sweep, "--observables", help=f"subset of {','.join(SWEEP_OBSERVABLES)}")
-    register(sweep, "--out", help="output path (required)")
-    register(sweep, "--format", choices=("csv", "json"), help="table format")
-    register(sweep, "--jobs", type=int, help="worker processes (default 1)")
+    sweep.add_argument("--n", type=int, help="particle number (default 50)")
+    sweep.add_argument("--epsilon", type=float, help="level splitting (default 1)")
+    sweep.add_argument("--lambda-min", type=float, help="grid start")
+    sweep.add_argument("--lambda-max", type=float, help="grid end")
+    sweep.add_argument("--lambda-count", type=int, help="grid size")
+    sweep.add_argument("--lambdas", help="explicit comma-separated couplings")
+    sweep.add_argument("--sources", help=f"subset of {','.join(SWEEP_SOURCES)}")
+    sweep.add_argument("--observables", help=f"subset of {','.join(SWEEP_OBSERVABLES)}")
+    sweep.add_argument("--out", help="output path (required)")
+    sweep.add_argument("--format", choices=("csv", "json"), default="csv", help="table format")
+    sweep.add_argument("--jobs", type=int, help="worker processes (default 1)")
 
     phase = command("phase", "mean-field phase report for one coupling")
-    register(phase, "--epsilon", type=float, help="level splitting (default 1)")
-    register(phase, "--lam", type=float, help="coupling (default 1)")
+    phase.add_argument("--epsilon", type=float, default=1.0, help="level splitting (default 1)")
+    phase.add_argument("--lam", type=float, default=1.0, help="coupling (default 1)")
 
     state = command("state", "entropy/squeezing report for one state")
-    register(state, "--kind", choices=("dscs", "dcat", "nodon"), help="state family")
-    register(state, "--n", type=int, help="particle number (default 10)")
-    register(state, "--levels", type=int, help="level count D (default 3)")
-    register(state, "--z", help="comma-separated complex amplitudes, one per level")
-    register(state, "--phases", help="comma-separated phases (nodon only)")
+    state.add_argument(
+        "--kind", choices=("dscs", "dcat", "nodon"), default="dscs", help="state family"
+    )
+    state.add_argument("--n", type=int, default=10, help="particle number (default 10)")
+    state.add_argument("--levels", type=int, default=3, help="level count D (default 3)")
+    state.add_argument("--z", help="comma-separated complex amplitudes, one per level")
+    state.add_argument("--phases", help="comma-separated phases (nodon only)")
 
     surface = command("surface", "observable over a real grid of state labels")
-    register(surface, "--n", type=int, help="particle number (default 10)")
-    register(surface, "--epsilon", type=float, help="level splitting (default 1)")
-    register(surface, "--lam", type=float, help="coupling for the energy surface")
-    register(surface, "--kind", choices=SURFACE_KINDS, help="state family")
-    register(surface, "--coords", choices=SURFACE_COORDS, help="grid coordinates")
-    register(surface, "--observable", choices=SURFACE_OBSERVABLES)
-    register(surface, "--a-min", type=float)
-    register(surface, "--a-max", type=float)
-    register(surface, "--a-count", type=int)
-    register(surface, "--b-min", type=float)
-    register(surface, "--b-max", type=float)
-    register(surface, "--b-count", type=int)
-    register(surface, "--out", help="output path (required)")
-    register(surface, "--format", choices=("csv", "json"), help="table format")
+    surface.add_argument("--n", type=int, help="particle number (default 10)")
+    surface.add_argument("--epsilon", type=float, help="level splitting (default 1)")
+    surface.add_argument("--lam", type=float, help="coupling for the energy surface")
+    surface.add_argument("--kind", choices=SURFACE_KINDS, help="state family")
+    surface.add_argument("--coords", choices=SURFACE_COORDS, help="grid coordinates")
+    surface.add_argument("--observable", choices=SURFACE_OBSERVABLES)
+    surface.add_argument("--a-min", type=float)
+    surface.add_argument("--a-max", type=float)
+    surface.add_argument("--a-count", type=int)
+    surface.add_argument("--b-min", type=float)
+    surface.add_argument("--b-max", type=float)
+    surface.add_argument("--b-count", type=int)
+    surface.add_argument("--out", help="output path (required)")
+    surface.add_argument("--format", choices=("csv", "json"), default="csv", help="table format")
 
     command("selftest", "run the built-in oracle suite")
 
-    return parser, registry
+    return parser
 
 
-def _merge_config(args, registry) -> None:
-    if getattr(args, "config", None) is None:
-        return
-    actions = registry[args.command]
-    for key, raw in load_config(args.config).items():
+def _config_flags(parser, command: str, path) -> list:
+    """The config file's entries as --key=value tokens; a key must name a
+    flag of the command exactly, with dashes or underscores."""
+    dests = set(vars(parser.parse_args([command]))) - {"command", "config"}
+    flags = []
+    for key, value in load_config(path).items():
         dest = key.replace("-", "_")
-        if dest == "config" or dest not in actions:
-            raise ConfigError(f"unknown config key {key!r} for command {args.command!r}")
-        if getattr(args, dest) is not None:
-            continue  # explicit flag wins
-        action = actions[dest]
-        try:
-            value = action.type(raw) if action.type is not None else raw
-        except ValueError as exc:
-            raise ConfigError(f"config key {key!r}: {exc}") from exc
-        if action.choices is not None and value not in action.choices:
-            raise ConfigError(
-                f"config key {key!r}: {value!r} not one of {list(action.choices)}"
-            )
-        setattr(args, dest, value)
-
-
-def _fill_defaults(args) -> None:
-    for dest, value in _DEFAULTS[args.command].items():
-        if getattr(args, dest, None) is None:
-            setattr(args, dest, value)
+        if dest not in dests:
+            raise ConfigError(f"unknown config key {key!r} for command {command!r}")
+        flags.append(f"--{dest.replace('_', '-')}={value}")
+    return flags
 
 
 def _require_out(args) -> None:
@@ -373,15 +343,17 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    parser, registry = build_parser()
+    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parser.parse_args(argv)
+        if args.config is not None:
+            # config flags go first: argparse keeps the last value given
+            flags = _config_flags(parser, args.command, args.config)
+            args = parser.parse_args([args.command, *flags, *argv[1:]])
+        return _HANDLERS[args.command](args)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    try:
-        _merge_config(args, registry)
-        _fill_defaults(args)
-        return _HANDLERS[args.command](args)
     except IntegrityError as exc:
         print(f"integrity error: {exc}", file=sys.stderr)
         return 3

@@ -74,8 +74,11 @@ class LmgParams:
     n_levels: int = 3
 
     def __post_init__(self):
-        if self.n_particles < 3:
-            raise ValueError(f"need n_particles >= 3, got {self.n_particles}")
+        count = self.n_particles
+        if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
+            raise ValueError(f"n_particles must be an integer, got {count!r}")
+        if count < 3:
+            raise ValueError(f"need n_particles >= 3, got {count}")
         if not (math.isfinite(self.epsilon) and self.epsilon > 0):
             raise ValueError(f"need finite epsilon > 0, got {self.epsilon!r}")
         if not (math.isfinite(self.lam) and self.lam >= 0):
@@ -261,18 +264,22 @@ def thermo_curvature(params: LmgParams, phase: str | None = None):
     raise ValueError(f"unknown phase {phase!r}")
 
 
-def variational_energy(state: SymmetricState, params: LmgParams) -> float:
-    """Rayleigh quotient <psi|H|psi> for a normalized three-level state, from
-    its moment tables: eps/N (S_33 - S_11) - lam/(N(N-1)) sum_{i!=j} <S_ij^2>."""
-    basis = state.basis
-    if basis.n_levels != 3 or basis.n_particles != params.n_particles:
-        raise ValueError("state sector does not match params")
-    S, Q = expval_tables(state)
+def _tables_energy(S: np.ndarray, Q: np.ndarray, params: LmgParams) -> float:
+    """<H> from a state's moment tables:
+    eps/N (S_33 - S_11) - lam/(N(N-1)) sum_{i!=j} <S_ij^2>."""
     n = params.n_particles
     i, j = np.nonzero(~np.eye(3, dtype=bool))
     kin = params.epsilon / n * float((S[2, 2] - S[0, 0]).real)
     quad = float(Q[i, j, i, j].sum().real)
     return kin - params.lam / (n * (n - 1)) * quad
+
+
+def variational_energy(state: SymmetricState, params: LmgParams) -> float:
+    """Rayleigh quotient <psi|H|psi> for a normalized three-level state."""
+    basis = state.basis
+    if basis.n_levels != 3 or basis.n_particles != params.n_particles:
+        raise ValueError("state sector does not match params")
+    return _tables_energy(*expval_tables(state), params)
 
 
 def variational_cat(basis: SymmetricBasis, params: LmgParams) -> SymmetricState:

@@ -26,9 +26,9 @@ from .basis import (
 from .lmg import (
     LmgParams,
     ground_state,
-    stationary_point,
     thermo_curvature,
     thermo_energy,
+    variational_cat,
     variational_energy,
 )
 from .rdm import (
@@ -145,17 +145,7 @@ def _check_hamiltonian_sector() -> None:
     even = ground_state(params, sector="even").energy
     full = ground_state(params, sector="full").energy
     assert abs(even - full) < 1e-10, (even, full)
-    cat_energy = variational_energy(
-        dcat(
-            SymmetricBasis(9, 3),
-            (
-                1.0,
-                stationary_point(params).alpha0,
-                stationary_point(params).beta0,
-            ),
-        ),
-        params,
-    )
+    cat_energy = variational_energy(variational_cat(SymmetricBasis(9, 3), params), params)
     assert cat_energy >= even - 1e-12
 
 

@@ -29,11 +29,11 @@ from .basis import expval_tables, shared_basis
 from .errors import ConfigError, IntegrityError
 from .lmg import (
     LmgParams,
+    _tables_energy,
     energy_surface,
     ground_state,
     stationary_point,
     variational_cat,
-    variational_energy,
 )
 from .rdm import (
     dscs_level_weights,
@@ -200,36 +200,37 @@ def _sweep_point(config: SweepConfig, lam: float) -> tuple:
     n, d = config.n_particles, 3
     records = []
     for source in config.sources:
-        if source == "numerical":
-            result = ground_state(params)
-            state, energy = result.state, result.energy
-        else:
+        variational = source == "variational"
+        if variational:
             state = variational_cat(basis, params)
-            energy = variational_energy(state, params)
+        else:
+            result = ground_state(params)
+            state = result.state
+        # one moment table per row serves the variational energy and the RDMs
+        if need_tables or (variational and "energy" in want):
+            S, Q = expval_tables(state)
         values = {"alpha0": point.alpha0, "beta0": point.beta0}
         if "energy" in want:
-            values["energy"] = energy
+            values["energy"] = _tables_energy(S, Q, params) if variational else result.energy
         for i in (1, 2, 3):
             if f"level_entropy_{i}" in want:
                 values[f"L_level_{i}"] = spectrum_entropies(
                     level_populations(state, i), "level", n, d
                 ).linear
-        if need_tables:
-            S, Q = expval_tables(state)
-            if "one_atom" in want:
-                rho1 = one_qudit_rdm_from_tables(S, n)
-                values["L1_atom"] = entropies(rho1, "one_atom", n, d).linear
-            if "two_atom" in want:
-                rho2 = two_qudit_rdm_from_tables(S, Q, n)
-                values["L2_atom"] = entropies(rho2, "two_atom", n, d).linear
-            if want & {"squeezing_total", "squeezing_pairs"}:
-                report = squeezing_report_from_tables(Q, n)
-                if "squeezing_total" in want:
-                    values["xi2_total"] = report.total
-                if "squeezing_pairs" in want:
-                    values["xi2_21"] = report.pairwise[(2, 1)]
-                    values["xi2_31"] = report.pairwise[(3, 1)]
-                    values["xi2_32"] = report.pairwise[(3, 2)]
+        if "one_atom" in want:
+            rho1 = one_qudit_rdm_from_tables(S, n)
+            values["L1_atom"] = entropies(rho1, "one_atom", n, d).linear
+        if "two_atom" in want:
+            rho2 = two_qudit_rdm_from_tables(S, Q, n)
+            values["L2_atom"] = entropies(rho2, "two_atom", n, d).linear
+        if want & {"squeezing_total", "squeezing_pairs"}:
+            report = squeezing_report_from_tables(Q, n)
+            if "squeezing_total" in want:
+                values["xi2_total"] = report.total
+            if "squeezing_pairs" in want:
+                values["xi2_21"] = report.pairwise[(2, 1)]
+                values["xi2_31"] = report.pairwise[(3, 1)]
+                values["xi2_32"] = report.pairwise[(3, 2)]
         records.append(SweepRecord(lam=lam, source=source, **values))
     return tuple(records)
 
@@ -309,9 +310,29 @@ def write_records(records, path, fmt: str = "csv") -> None:
 
 def _check_row_values(row: dict, where: str) -> None:
     for column in CSV_COLUMNS:
-        raw = row.get(column)
-        if column != "source" and raw is not None and raw != "":
-            _check_range(_COLUMN_KINDS.get(column), float(raw), f"{where}: {column}")
+        raw = row[column]
+        if column == "source" or raw is None or raw == "":
+            continue
+        try:
+            value = float(raw)
+        except (TypeError, ValueError):
+            raise IntegrityError(f"{where}: {column}: non-numeric value {raw!r}") from None
+        _check_range(_COLUMN_KINDS.get(column), value, f"{where}: {column}")
+
+
+def _check_row_shape(row, fmt: str, where: str) -> None:
+    """A CSV row has exactly the header's cells; a JSON record is an object
+    with exactly the sweep columns."""
+    if not isinstance(row, dict):
+        raise IntegrityError(f"{where}: record {row!r} is not an object")
+    if None in row:  # csv.DictReader files cells past the header under None
+        raise IntegrityError(f"{where}: cells past column {CSV_COLUMNS[-1]!r}")
+    for column in CSV_COLUMNS:
+        if column not in row or (fmt == "csv" and row[column] is None):
+            raise IntegrityError(f"{where}: no cell for column {column!r}")
+    if len(row) != len(CSV_COLUMNS):
+        extra = sorted(set(row) - set(CSV_COLUMNS))
+        raise IntegrityError(f"{where}: unknown columns {extra!r}")
 
 
 def validate_table(path, fmt: str = "csv") -> int:
@@ -326,15 +347,16 @@ def validate_table(path, fmt: str = "csv") -> int:
             rows = list(reader)
         elif fmt == "json":
             rows = json.load(handle)
-            for row in rows:
-                if set(row) != set(CSV_COLUMNS):
-                    raise IntegrityError(f"{path}: record keys {sorted(row)!r}")
+            if not isinstance(rows, list):
+                raise IntegrityError(f"{path}: expected a list of records")
         else:
             raise ConfigError(f"unknown format {fmt!r}; choose csv or json")
     for index, row in enumerate(rows):
+        where = f"{path}: row {index}"
+        _check_row_shape(row, fmt, where)
         if row["source"] not in SWEEP_SOURCES:
-            raise IntegrityError(f"{path}: row {index}: bad source {row['source']!r}")
-        _check_row_values(row, f"{path}: row {index}")
+            raise IntegrityError(f"{where}: bad source {row['source']!r}")
+        _check_row_values(row, where)
     return len(rows)
 
 
