@@ -75,26 +75,31 @@ def representative(z, level: int = 1) -> np.ndarray:
     return z / pivot
 
 
-def dscs(basis: SymmetricBasis, z) -> SymmetricState:
-    """Coherent state |z>: amplitudes sqrt(N!/prod n_i!) prod z_i^n_i / |z|^N.
+def _coherent_amplitudes(occupations: np.ndarray, z: np.ndarray, n: int) -> np.ndarray:
+    """Amplitudes sqrt(N!/prod n_i!) prod z_i^n_i / |z|^N of the unit-norm
+    coherent state |z> on the given occupation rows.
 
     Log-space evaluation keeps the multinomial weights finite for any
-    supported particle number.
+    supported particle number; rows that occupy a level with z_i = 0 get 0.
     """
-    z = _as_orbital(z, basis.n_levels)
-    occ = basis.occupations
-    n = basis.n_particles
     norm2 = float(np.vdot(z, z).real)
     finite = z != 0
-    logz = np.zeros(basis.n_levels, dtype=np.complex128)
+    logz = np.zeros(z.size, dtype=np.complex128)
     logz[finite] = np.log(z[finite])
-    log_mult = 0.5 * (gammaln(n + 1) - gammaln(occ + 1.0).sum(axis=1))
-    w = occ.astype(np.float64) @ logz
+    log_mult = 0.5 * (gammaln(n + 1) - gammaln(occupations + 1.0).sum(axis=1))
+    w = occupations.astype(np.float64) @ logz
     log_amp = log_mult + w.real - 0.5 * n * np.log(norm2)
     coeffs = np.exp(log_amp + 1j * w.imag)
     if not finite.all():
-        dead = (occ[:, ~finite] > 0).any(axis=1)
+        dead = (occupations[:, ~finite] > 0).any(axis=1)
         coeffs[dead] = 0.0
+    return coeffs
+
+
+def dscs(basis: SymmetricBasis, z) -> SymmetricState:
+    """Coherent state |z>: amplitudes sqrt(N!/prod n_i!) prod z_i^n_i / |z|^N."""
+    z = _as_orbital(z, basis.n_levels)
+    coeffs = _coherent_amplitudes(basis.occupations, z, basis.n_particles)
     return SymmetricState(basis, coeffs).normalized()
 
 
@@ -211,17 +216,24 @@ def dcat_norm_squared(z, n_particles: int) -> float:
 def dcat(basis: SymmetricBasis, z) -> SymmetricState:
     """Normalized even cat state: projection of |z> onto the all-even sector.
 
-    The projected norm is cross-checked against its closed form; a
-    mismatch beyond 1e-10 raises IntegrityError.
+    The amplitudes are evaluated on the sector's rows only.  Their squared
+    norm is the projected norm of the unit-norm |z>, cross-checked against
+    its closed form; a mismatch beyond 1e-10 raises IntegrityError.
     """
     z = _as_orbital(z, basis.n_levels)
-    projected, sq = project_even(dscs(basis, z))
+    ranks = basis.parity_sector((0,) * (basis.n_levels - 1))[0]
+    amps = _coherent_amplitudes(basis.occupations[ranks], z, basis.n_particles)
+    sq = float(np.sum(np.abs(amps) ** 2))
+    if sq < 1e-14:
+        raise EmptySectorError("even-parity projection annihilated the state")
     closed = dcat_norm_squared(z, basis.n_particles)
     if abs(sq - closed) > 1e-10:
         raise IntegrityError(
             f"cat-state norm mismatch: projection {sq!r} vs closed form {closed!r}"
         )
-    return projected.normalized()
+    coeffs = np.zeros(basis.dim, dtype=np.complex128)
+    coeffs[ranks] = amps / np.sqrt(sq)
+    return SymmetricState(basis, coeffs)
 
 
 def _all_equal(d: int) -> np.ndarray:

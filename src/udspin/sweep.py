@@ -308,14 +308,21 @@ def write_records(records, path, fmt: str = "csv") -> None:
     validate_table(path, fmt)
 
 
-def _check_row_values(row: dict, where: str) -> None:
+def _check_row_values(row: dict, fmt: str, where: str) -> None:
+    """Numeric cells parse as floats in range; a JSON cell must already be a
+    number or null, never a boolean or a string."""
     for column in CSV_COLUMNS:
         raw = row[column]
-        if column == "source" or raw is None or raw == "":
+        if column == "source" or raw is None:
+            continue
+        if fmt == "json":
+            if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+                raise IntegrityError(f"{where}: {column}: non-numeric value {raw!r}")
+        elif raw == "":
             continue
         try:
             value = float(raw)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise IntegrityError(f"{where}: {column}: non-numeric value {raw!r}") from None
         _check_range(_COLUMN_KINDS.get(column), value, f"{where}: {column}")
 
@@ -356,7 +363,7 @@ def validate_table(path, fmt: str = "csv") -> int:
         _check_row_shape(row, fmt, where)
         if row["source"] not in SWEEP_SOURCES:
             raise IntegrityError(f"{where}: bad source {row['source']!r}")
-        _check_row_values(row, where)
+        _check_row_values(row, fmt, where)
     return len(rows)
 
 
