@@ -278,8 +278,8 @@ def _moves(occupations: np.ndarray, i0: int, j0: int, power: int):
 
 @lru_cache(maxsize=16)
 def shared_basis(n_particles: int, n_levels: int) -> SymmetricBasis:
-    """The one SymmetricBasis per (N, D) that sweeps, surfaces and the
-    Hamiltonian workspace share, with its memoized move tables."""
+    """The one SymmetricBasis per (N, D) that sweeps, surfaces and
+    ground-state solves share, with its memoized move tables."""
     return SymmetricBasis(n_particles, n_levels)
 
 

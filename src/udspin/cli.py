@@ -298,7 +298,7 @@ def _cmd_state(args) -> int:
         float(np.max(np.abs(Q_closed - Q_state))),
     )
     print(f"closed-form vs state-vector max deviation = {deviation:.3e}")
-    if deviation > STATE_CHECK_TOL:
+    if not deviation <= STATE_CHECK_TOL:  # NaN fails
         raise IntegrityError(
             f"closed-form tables deviate from the state vector by {deviation:.3e}"
         )

@@ -1,4 +1,7 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the one range rule."""
+
+import math
+import sys
 
 
 class UdspinError(Exception):
@@ -19,3 +22,28 @@ class IntegrityError(UdspinError):
 
 class ConfigError(UdspinError):
     """Invalid run configuration (CLI flags or config file)."""
+
+
+#: Roundoff an entropy or a squeezing parameter may carry past its bound.
+_ROUNDOFF = 1e-9
+
+# kind: (low, high, shown as); finite ends stand in for open ones, so that
+# the one bound comparison also rejects +-inf
+_RANGES = {
+    "unit": (0.0, 1.0, "[0, 1]"),
+    "nonneg": (0.0, sys.float_info.max, "[0, inf)"),
+    None: (-sys.float_info.max, sys.float_info.max, None),
+}
+
+
+def check_range(value, kind, what: str, tol: float = 0.0) -> float:
+    """The one range rule: kind "unit" is [0, 1], "nonneg" is [0, inf) and
+    None asks only for a finite value.  A value within `tol` of its range
+    comes back snapped onto it, as a float; NaN, +-inf or a value further
+    out raises IntegrityError naming `what`."""
+    lo, hi, shown = _RANGES[kind]
+    if lo - tol <= value <= hi + tol:  # NaN fails this comparison
+        return lo if value < lo else hi if value > hi else float(value)
+    if not math.isfinite(value):
+        raise IntegrityError(f"{what}: non-finite value {value!r}")
+    raise IntegrityError(f"{what}: {value!r} outside {shown} beyond tolerance {tol}")

@@ -26,7 +26,7 @@ surface over coherent states (1, alpha, beta), its stationary points,
 and the thermodynamic ground energy, a piecewise function of the
 coupling with second-order transitions at lam = eps/2 and 3 eps/2.
 thermo_energy keeps pure-Python arithmetic so exact Fraction inputs
-propagate through the branch formulas.
+propagate through the branch formulas; the Hamiltonian takes them as floats.
 """
 
 from __future__ import annotations
@@ -133,6 +133,14 @@ def _workspace(n_particles: int):
     return (basis, *_assemble(occ, moves))
 
 
+def _hamiltonian(diag, coupling, params: LmgParams):
+    """H = eps/N diag - lam/(N(N-1)) coupling, in floats: scipy.sparse has
+    no dtype for exact Fraction couplings."""
+    n = params.n_particles
+    kin = sp.diags(float(params.epsilon) / n * diag)
+    return kin - float(params.lam) / (n * (n - 1)) * coupling
+
+
 def build_hamiltonian(basis: SymmetricBasis, params: LmgParams) -> sp.csr_matrix:
     """Sparse real symmetric H on the given basis (D = 3 only)."""
     if basis.n_levels != 3:
@@ -140,9 +148,7 @@ def build_hamiltonian(basis: SymmetricBasis, params: LmgParams) -> sp.csr_matrix
     if basis.n_particles != params.n_particles:
         raise ValueError("basis and params disagree on n_particles")
     _, diag, coupling = _workspace(params.n_particles)
-    n = params.n_particles
-    kin = sp.diags(params.epsilon / n * diag)
-    return (kin - params.lam / (n * (n - 1)) * coupling).tocsr()
+    return _hamiltonian(diag, coupling, params).tocsr()
 
 
 def parity_sector_indices(basis: SymmetricBasis, parities) -> np.ndarray:
@@ -172,8 +178,9 @@ def ground_state(params: LmgParams, sector="even") -> GroundStateResult:
     pair of 0/1 parities for levels 2 and 3, for degeneracy studies.
     """
     n = params.n_particles
+    basis = shared_basis(n, 3)  # not the cached structures' basis, maybe evicted since
     if sector == "full":
-        basis, dsub, sub = _workspace(n)
+        _, dsub, sub = _workspace(n)
         idx = np.arange(basis.dim)
     else:
         parities = (0, 0) if sector == "even" else sector
@@ -183,9 +190,9 @@ def ground_state(params: LmgParams, sector="even") -> GroundStateResult:
                 f"sector must be 'even', 'full' or a pair of 0/1 parities for levels 2 and 3,"
                 f" got {sector!r}"
             )
-        basis, idx, dsub, sub = _sector_structure(n, tuple(int(p) for p in parities))
+        _, idx, dsub, sub = _sector_structure(n, tuple(int(p) for p in parities))
     where = f"N={n}, lam={params.lam!r}, sector={sector!r}"
-    ham = sp.diags(params.epsilon / n * dsub) - params.lam / (n * (n - 1)) * sub
+    ham = _hamiltonian(dsub, sub, params)
     if idx.size <= DENSE_EIG_LIMIT:
         energy, vec = float(ham.diagonal()[0]), np.ones(1)
     else:
@@ -202,7 +209,7 @@ def ground_state(params: LmgParams, sector="even") -> GroundStateResult:
             raise IntegrityError(f"eigensolver failed to converge at {where}: {exc}") from exc
         energy, vec = float(eigvals[0]), eigvecs[:, 0]
     residual = float(np.linalg.norm(ham @ vec - energy * vec))
-    if residual > _RESIDUAL_TOL * (params.epsilon + params.lam):
+    if not residual <= _RESIDUAL_TOL * (params.epsilon + params.lam):  # NaN fails
         raise IntegrityError(f"eigenpair residual {residual:.3e} at {where}")
     full = np.zeros(basis.dim, dtype=np.complex128)
     full[idx] = vec

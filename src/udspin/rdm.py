@@ -32,7 +32,7 @@ from .basis import (
     expval_tables,
     occupation_ranks,
 )
-from .errors import CapacityError, IntegrityError
+from .errors import _ROUNDOFF, CapacityError, IntegrityError, check_range
 from .states import dcat_expval_tables
 
 __all__ = [
@@ -53,29 +53,7 @@ __all__ = [
     "entropies",
     "partial_trace_oracle",
     "check_density_matrix",
-    "clamp_unit",
-    "clamp_nonneg",
 ]
-
-
-def clamp_unit(value: float, tol: float = 1e-9) -> float:
-    """Snap roundoff excursions outside [0, 1] back; fail on real violations."""
-    if -tol <= value < 0.0:
-        return 0.0
-    if 1.0 < value <= 1.0 + tol:
-        return 1.0
-    if value < -tol or value > 1.0 + tol:
-        raise IntegrityError(f"value {value!r} outside [0, 1] beyond tolerance")
-    return float(value)
-
-
-def clamp_nonneg(value: float, tol: float = 1e-9) -> float:
-    """Snap tiny negative roundoff to zero; fail on real violations."""
-    if -tol <= value < 0.0:
-        return 0.0
-    if value < -tol:
-        raise IntegrityError(f"value {value!r} negative beyond tolerance")
-    return float(value)
 
 
 # ---------------------------------------------------------------------------
@@ -174,8 +152,8 @@ def two_qudit_purity_from_tables(S: np.ndarray, Q: np.ndarray, n_particles: int)
     t2 = np.einsum("jikj,ik->", Q, S)
     t3 = np.trace(S) ** 2
     val = (t1 - 2.0 * t2 + t3) / (n * (n - 1)) ** 2
-    if abs(val.imag) > 1e-8 * max(1.0, abs(val.real)):
-        raise IntegrityError(f"two-particle purity has imaginary part {val.imag!r}")
+    if not (math.isfinite(val.real) and abs(val.imag) <= 1e-8 * max(1.0, abs(val.real))):
+        raise IntegrityError(f"two-particle purity {val!r} is non-finite or not real")
     return float(val.real)
 
 
@@ -231,22 +209,20 @@ def spectrum_entropies(
 ) -> EntropyReport:
     """Entropy report from an eigenvalue spectrum (need not be sorted)."""
     w = np.asarray(weights, dtype=np.float64).ravel()
-    if w.min() < -_EIG_FAIL:
-        raise IntegrityError(
-            f"reduced-density-matrix eigenvalue {w.min()!r} below -{_EIG_FAIL}"
-        )
-    if w.max() > 1.0 + _EIG_FAIL:
-        raise IntegrityError(
-            f"reduced-density-matrix eigenvalue {w.max()!r} above 1 + {_EIG_FAIL}"
-        )
+    check_range(w.min(), "unit", "reduced-density-matrix eigenvalue", _EIG_FAIL)
+    check_range(w.max(), "unit", "reduced-density-matrix eigenvalue", _EIG_FAIL)
     w = np.clip(w, 0.0, 1.0)  # roundoff negatives above -1e-8 snap to zero
     d_eff = _effective_dim(kind, n_particles, n_levels)
     purity = float(np.sum(w**2))
-    linear = clamp_unit(d_eff / (d_eff - 1.0) * (1.0 - purity))
+    linear = d_eff / (d_eff - 1.0) * (1.0 - purity)
     nz = w[w > _EIG_CLIP]
     # the + 0.0 turns an exact -0.0 (pure state) into +0.0
-    von_neumann = clamp_unit(float(-(nz * np.log(nz)).sum() / math.log(d_eff)) + 0.0)
-    return EntropyReport(purity=purity, linear=linear, von_neumann=von_neumann)
+    von_neumann = float(-(nz * np.log(nz)).sum() / math.log(d_eff)) + 0.0
+    return EntropyReport(
+        purity=purity,
+        linear=check_range(linear, "unit", "linear entropy", _ROUNDOFF),
+        von_neumann=check_range(von_neumann, "unit", "von Neumann entropy", _ROUNDOFF),
+    )
 
 
 def entropies(rho, kind: str, n_particles: int, n_levels: int) -> EntropyReport:
@@ -262,9 +238,7 @@ def check_density_matrix(rho, tol: float = 1e-10) -> None:
         raise IntegrityError("density matrix is not Hermitian")
     if abs(np.trace(rho).real - 1.0) > 1e-9 or abs(np.trace(rho).imag) > 1e-12:
         raise IntegrityError(f"density matrix trace {np.trace(rho)!r} != 1")
-    w = np.linalg.eigvalsh(rho)
-    if w.min() < -_EIG_FAIL:
-        raise IntegrityError(f"density matrix eigenvalue {w.min()!r} < -{_EIG_FAIL}")
+    check_range(np.linalg.eigvalsh(rho).min(), "nonneg", "density matrix eigenvalue", _EIG_FAIL)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import SymmetricState, expval_sij, expval_sij_skl, expval_tables
-from .rdm import clamp_nonneg
+from .errors import _ROUNDOFF, check_range
 
 __all__ = [
     "SqueezingReport",
@@ -51,7 +51,8 @@ def xi_pair_from_tables(Q: np.ndarray, n_particles: int, i: int, j: int) -> floa
     i0, j0 = i - 1, j - 1
     sym = (Q[i0, j0, j0, i0] + Q[j0, i0, i0, j0]).real
     off = abs(Q[i0, j0, i0, j0])
-    return clamp_nonneg((sym - 2.0 * off) / (n_particles * (d - 1.0)))
+    xi2 = (sym - 2.0 * off) / (n_particles * (d - 1.0))
+    return check_range(xi2, "nonneg", "pair squeezing parameter", _ROUNDOFF)
 
 
 def xi_pair(state: SymmetricState, i: int, j: int) -> float:
@@ -100,4 +101,5 @@ def su2_xi(state: SymmetricState) -> float:
     jy2 = 0.25 * ((s1221 + s2112).real - 2.0 * s1212.real)
     cross = -s1212.imag  # <JxJy + JyJx>
     radius = np.hypot(jx2 - jy2, cross)
-    return clamp_nonneg(2.0 / basis.n_particles * (jx2 + jy2 - radius))
+    xi2 = 2.0 / basis.n_particles * (jx2 + jy2 - radius)
+    return check_range(xi2, "nonneg", "two-level squeezing parameter", _ROUNDOFF)

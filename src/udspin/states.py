@@ -227,7 +227,7 @@ def dcat(basis: SymmetricBasis, z) -> SymmetricState:
     if sq < 1e-14:
         raise EmptySectorError("even-parity projection annihilated the state")
     closed = dcat_norm_squared(z, basis.n_particles)
-    if abs(sq - closed) > 1e-10:
+    if not abs(sq - closed) <= 1e-10:  # NaN fails
         raise IntegrityError(
             f"cat-state norm mismatch: projection {sq!r} vs closed form {closed!r}"
         )

@@ -26,7 +26,7 @@ from itertools import repeat
 import numpy as np
 
 from .basis import expval_tables, shared_basis
-from .errors import ConfigError, IntegrityError
+from .errors import ConfigError, IntegrityError, check_range
 from .lmg import (
     LmgParams,
     _tables_energy,
@@ -105,23 +105,11 @@ _RECORD_FIELDS = tuple(f.name for f in fields(SweepRecord))
 #: ``lam`` serialized as "lambda".
 CSV_COLUMNS = tuple("lambda" if name == "lam" else name for name in _RECORD_FIELDS)
 
-#: Range rule of each checked column; other numeric columns need only be finite.
+#: check_range kind of each bounded column; other numeric columns need only be finite.
 _COLUMN_KINDS = {
-    **dict.fromkeys(("L_level_1", "L_level_2", "L_level_3", "L1_atom", "L2_atom"), "entropy"),
-    **dict.fromkeys(("xi2_total", "xi2_21", "xi2_31", "xi2_32"), "squeezing"),
+    **dict.fromkeys(("L_level_1", "L_level_2", "L_level_3", "L1_atom", "L2_atom"), "unit"),
+    **dict.fromkeys(("xi2_total", "xi2_21", "xi2_31", "xi2_32"), "nonneg"),
 }
-
-
-def _check_range(kind, value: float, where: str) -> None:
-    """The one range rule of written tables: every number is finite,
-    entropies lie in [0, 1] and squeezing is non-negative; kind None
-    sets no range."""
-    if not math.isfinite(value):
-        raise IntegrityError(f"{where}: non-finite value {value!r}")
-    if kind == "entropy" and not 0.0 <= value <= 1.0:
-        raise IntegrityError(f"{where}: entropy {value!r} outside [0, 1]")
-    if kind == "squeezing" and value < 0.0:
-        raise IntegrityError(f"{where}: squeezing {value!r} negative")
 
 
 def _check_count(value, name: str, minimum: int) -> None:
@@ -143,6 +131,8 @@ def default_lambda_grid(epsilon: float = 1.0) -> tuple[float, ...]:
 
 
 def _canonical_subset(requested, universe, what: str) -> tuple[str, ...]:
+    if isinstance(requested, str):
+        raise ConfigError(f"{what}s must be a sequence of names, not the string {requested!r}")
     seen = set()
     for name in requested:
         if name not in universe:
@@ -249,18 +239,10 @@ def run_sweep(config: SweepConfig) -> list:
     else:
         chunks = [_sweep_point(cfg, lam) for lam in cfg.lambdas]
     records = [record for chunk in chunks for record in chunk]
-    _check_records(records)
+    for record in records:  # record fields hold the Python values a JSON row would
+        row = dict(zip(CSV_COLUMNS, (getattr(record, name) for name in _RECORD_FIELDS)))
+        _check_row_values(row, "json", f"record at lambda = {record.lam}")
     return records
-
-
-def _check_records(records) -> None:
-    for record in records:
-        for name, column in zip(_RECORD_FIELDS, CSV_COLUMNS):
-            value = getattr(record, name)
-            if column != "source" and value is not None:
-                _check_range(
-                    _COLUMN_KINDS.get(column), value, f"{column} at lambda = {record.lam}"
-                )
 
 
 def _csv_cell(value) -> str:
@@ -324,7 +306,7 @@ def _check_row_values(row: dict, fmt: str, where: str) -> None:
             value = float(raw)
         except (TypeError, ValueError, OverflowError):
             raise IntegrityError(f"{where}: {column}: non-numeric value {raw!r}") from None
-        _check_range(_COLUMN_KINDS.get(column), value, f"{where}: {column}")
+        check_range(value, _COLUMN_KINDS.get(column), f"{where}: {column}")
 
 
 def _check_row_shape(row, fmt: str, where: str) -> None:
@@ -509,7 +491,7 @@ def write_surface(config: SurfaceConfig, path, fmt: str = "csv") -> str:
             )
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
-    kind = {"energy": None, "squeezing_total": "squeezing"}.get(cfg.observable, "entropy")
+    kind = {"energy": None, "squeezing_total": "nonneg"}.get(cfg.observable, "unit")
     for a, b, value in rows:
-        _check_range(kind, value, f"{path}: ({a}, {b})")
+        check_range(value, kind, f"{path}: ({a}, {b})")
     return sidecar
