@@ -11,14 +11,18 @@ restricts there by default, which also picks a deterministic
 representative among the near-degenerate finite-N levels of the broken
 phases.  A parity sector is assembled from its own S_ij^2 moves; the
 full-space coupling is built only for sector "full" and build_hamiltonian.
-Every sector, full space included, goes through one Lanczos solve
-(eigsh, lowest eigenvalue); the single-state sector at N = 3 is its own
-eigenpair.  Lanczos starts from the coherent state at the mean-field
-minimizer on the sector's rows -- the variational cat on the even
-sector -- or from the uniform vector where that restriction vanishes,
-and any restart vector comes from a fixed-seed generator, so a row
-depends only on (N, lam, eps).  The returned pair must satisfy
-||Hv - Ev|| within 1e-10 (eps + lam), or IntegrityError names N, lam
+Every sector, full space and the single-state sector at N = 3 included,
+goes through one solver: a two-pass Lanczos (eigsh here, lowest
+eigenvalue) without reorthogonalization.  Its first pass keeps only the
+tridiagonal coefficients until the lowest Ritz pair converges; its
+second reruns the same recurrence to assemble the Ritz vector.  Lanczos
+starts from the coherent state at the mean-field minimizer on the
+sector's rows -- the variational cat on the even sector -- or from the
+uniform vector where that restriction vanishes.  It draws no random
+vector and sums with numpy rather than BLAS, so a row depends only on
+(N, lam, eps), not on grid order, workers or BLAS threads.  A solve
+that does not converge within a fixed step cap, or whose pair misses
+||Hv - Ev|| <= 1e-10 (eps + lam), raises IntegrityError naming N, lam
 and the sector.
 
 Closed forms implemented alongside the numerics: the mean-field energy
@@ -38,7 +42,7 @@ from itertools import permutations
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+from scipy.linalg import eigh_tridiagonal
 
 from .basis import SymmetricBasis, SymmetricState, _moves, expval_tables, shared_basis
 from .errors import EmptySectorError, IntegrityError
@@ -61,16 +65,30 @@ __all__ = [
     "variational_cat",
 ]
 
-# ARPACK's floor, not a tuning knob: eigsh needs at least two states, so
-# a sector this small takes its one diagonal entry as the eigenpair
+# sectors of at most this many states need no iteration: Lanczos returns a
+# one-state sector's diagonal entry at its first step (beta_1 = 0).  Not a
+# branch of the solver; solve counts are classified against it
 DENSE_EIG_LIMIT = 1
 
 # ||Hv - Ev|| allowed per unit of (epsilon + lam); measured maxima stay below 1e-14
 _RESIDUAL_TOL = 1e-10
 
-# eigsh draws a random restart vector when the Krylov space closes early,
-# as it does at lam = 0, where the cat start |N,0,0> is an exact
-# eigenvector; a fixed seed keeps those rows deterministic
+# Lanczos stops once its residual estimate |beta_m y_m| is this small per
+# unit of ||T||, far below _RESIDUAL_TOL.  Much tighter, the checks can
+# miss the few steps before a ghost copy of the converged pair lifts the
+# estimate again (at N = 50, 1e-15 doubled the steps of some solves)
+_LANCZOS_TOL = 1e-13
+
+# the tridiagonal is solved every this many steps, at a breakdown and at
+# step dim: a check costs about as much as four steps at N = 50
+_LANCZOS_CHECK_EVERY = 10
+
+# a solve that has not converged in this many steps fails; first passes
+# measured at N <= 2000 took at most 261
+_LANCZOS_MAX_STEPS = 2000
+
+# seed of the generator handed to eigsh with the start vector; the
+# two-pass Lanczos never draws from it, so rows depend only on (N, lam, eps)
 _RESTART_SEED = 0
 
 
@@ -141,6 +159,69 @@ def _hamiltonian(diag, coupling, params: LmgParams):
     return kin - float(params.lam) / (n * (n - 1)) * coupling
 
 
+class _NoConvergence(Exception):
+    """Lanczos reached _LANCZOS_MAX_STEPS; ground_state names where."""
+
+
+def _recurrence(ham, start: np.ndarray):
+    """Lanczos vectors q_k with alpha_k = q_k.H q_k and beta_{k+1}, by the
+    three-term recurrence without reorthogonalization.  Sums are numpy's
+    pairwise reductions, not BLAS ddot, whose threaded split reorders
+    them with the BLAS thread count; so a rerun rebuilds the same vectors
+    bit for bit.  The caller stops at a zero beta."""
+    q = start / math.sqrt((start * start).sum())
+    prev, beta = np.zeros_like(q), 0.0
+    while True:
+        w = ham @ q
+        w -= beta * prev
+        alpha = float((q * w).sum())
+        w -= alpha * q
+        beta = math.sqrt((w * w).sum())
+        yield q, alpha, beta
+        prev, q = q, w / beta
+
+
+def eigsh(ham, *, k=1, which="SA", v0, rng=None):
+    """Lowest eigenpair of the real symmetric `ham` by two-pass Lanczos,
+    in scipy's eigsh shape: eigenvalues (1,) and eigenvectors (dim, 1).
+
+    The first pass keeps only alpha and beta, and every
+    _LANCZOS_CHECK_EVERY steps takes the lowest pair (theta, y) of the
+    tridiagonal T; it stops once |beta_m y_m| <= _LANCZOS_TOL ||T||, with
+    ||T|| bounded by Gershgorin.  A vanishing beta (the start spans an
+    invariant subspace, as the cat start |N,0,0> at lam = 0 or a one-state
+    sector) gives an exact Ritz pair.  The second pass reruns the
+    recurrence to sum the Ritz vector, so a few vectors are held, not a
+    Krylov basis.  Orthogonality is lost only as Ritz values converge
+    (Paige 1972), so the lowest pair stays reliable without
+    reorthogonalization.  `rng` keeps eigsh's call shape; no restart
+    vector is ever drawn from it.
+    """
+    if k != 1 or which != "SA":
+        raise ValueError("only the lowest eigenpair (k=1, which='SA') is computed")
+    alphas, betas, norm_t = [], [0.0], 0.0
+    for _, alpha, beta in _recurrence(ham, v0):
+        norm_t = max(norm_t, abs(alpha) + betas[-1] + beta)
+        alphas.append(alpha)
+        betas.append(beta)
+        steps = len(alphas)
+        tol = _LANCZOS_TOL * norm_t
+        # in exact arithmetic the Krylov space is complete at step dim
+        check = steps % _LANCZOS_CHECK_EVERY == 0 or steps in (len(v0), _LANCZOS_MAX_STEPS)
+        if beta > tol and not check:
+            continue
+        theta, y = eigh_tridiagonal(alphas, betas[1:-1], select="i", select_range=(0, 0))
+        estimate = beta * abs(y[-1, 0])
+        if estimate <= tol:
+            break
+        if steps >= _LANCZOS_MAX_STEPS:
+            raise _NoConvergence(f"{steps} Lanczos steps left residual estimate {estimate:.3e}")
+    vec = np.zeros(len(v0))
+    for coeff, (q, _, _) in zip(y[:, 0], _recurrence(ham, v0)):  # y first: no extra step
+        vec += coeff * q
+    return theta, (vec / math.sqrt((vec * vec).sum()))[:, None]
+
+
 def build_hamiltonian(basis: SymmetricBasis, params: LmgParams) -> sp.csr_matrix:
     """Sparse real symmetric H on the given basis (D = 3 only)."""
     if basis.n_levels != 3:
@@ -193,21 +274,18 @@ def ground_state(params: LmgParams, sector="even") -> GroundStateResult:
         _, idx, dsub, sub = _sector_structure(n, tuple(int(p) for p in parities))
     where = f"N={n}, lam={params.lam!r}, sector={sector!r}"
     ham = _hamiltonian(dsub, sub, params)
-    if idx.size <= DENSE_EIG_LIMIT:
-        energy, vec = float(ham.diagonal()[0]), np.ones(1)
-    else:
-        point = stationary_point(params)
-        z0 = np.array([1.0, point.alpha0, point.beta0], dtype=np.complex128)
-        v0 = _coherent_amplitudes(basis.occupations[idx], z0, n).real
-        if not v0.any():
-            v0 = np.full(idx.size, 1.0 / math.sqrt(idx.size))
-        try:
-            eigvals, eigvecs = eigsh(
-                ham, k=1, which="SA", v0=v0, rng=np.random.default_rng(_RESTART_SEED)
-            )
-        except ArpackNoConvergence as exc:
-            raise IntegrityError(f"eigensolver failed to converge at {where}: {exc}") from exc
-        energy, vec = float(eigvals[0]), eigvecs[:, 0]
+    point = stationary_point(params)
+    z0 = np.array([1.0, point.alpha0, point.beta0], dtype=np.complex128)
+    v0 = _coherent_amplitudes(basis.occupations[idx], z0, n).real
+    if not v0.any():
+        v0 = np.full(idx.size, 1.0 / math.sqrt(idx.size))
+    try:
+        eigvals, eigvecs = eigsh(
+            ham, k=1, which="SA", v0=v0, rng=np.random.default_rng(_RESTART_SEED)
+        )
+    except _NoConvergence as exc:
+        raise IntegrityError(f"eigensolver failed to converge at {where}: {exc}") from exc
+    energy, vec = float(eigvals[0]), eigvecs[:, 0]
     residual = float(np.linalg.norm(ham @ vec - energy * vec))
     if not residual <= _RESIDUAL_TOL * (params.epsilon + params.lam):  # NaN fails
         raise IntegrityError(f"eigenpair residual {residual:.3e} at {where}")

@@ -25,6 +25,8 @@ from .basis import (
 )
 from .lmg import (
     LmgParams,
+    build_hamiltonian,
+    even_sector_indices,
     ground_state,
     thermo_curvature,
     thermo_energy,
@@ -141,12 +143,20 @@ def _check_squeezing_reduction() -> None:
 
 
 def _check_hamiltonian_sector() -> None:
-    params = LmgParams(n_particles=9, lam=1.2)
-    even = ground_state(params, sector="even").energy
-    full = ground_state(params, sector="full").energy
-    assert abs(even - full) < 1e-10, (even, full)
-    cat_energy = variational_energy(variational_cat(SymmetricBasis(9, 3), params), params)
-    assert cat_energy >= even - 1e-12
+    basis = SymmetricBasis(9, 3)
+    idx = even_sector_indices(basis)
+    for lam in (0.3, 1.2, 2.5):  # one coupling per phase
+        params = LmgParams(n_particles=9, lam=lam)
+        even = ground_state(params, sector="even").energy
+        full = ground_state(params, sector="full").energy
+        assert abs(even - full) < 1e-10, (lam, even, full)
+        # the dense spectrum does not go through the Lanczos solver
+        dense = build_hamiltonian(basis, params).toarray()
+        for got, block in ((full, dense), (even, dense[np.ix_(idx, idx)])):
+            want = np.linalg.eigvalsh(block)[0]
+            assert abs(got - want) < 1e-12, (lam, block.shape, got, want)
+        cat_energy = variational_energy(variational_cat(basis, params), params)
+        assert cat_energy >= even - 1e-12
 
 
 def _check_phase_diagram() -> None:
@@ -177,7 +187,7 @@ CHECKS = (
     ("balanced-superposition values", _check_nodon_values),
     ("two-particle reduction vs partial trace", _check_rdm_oracle),
     ("two-level squeezing reduction", _check_squeezing_reduction),
-    ("even-sector vs full diagonalization", _check_hamiltonian_sector),
+    ("even-sector and full Lanczos vs dense eigvalsh", _check_hamiltonian_sector),
     ("phase-boundary continuity and curvature", _check_phase_diagram),
     ("sweep determinism", _check_sweep_determinism),
 )

@@ -19,6 +19,8 @@ import csv
 import io
 import json
 import math
+import numbers
+from collections.abc import Iterable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from itertools import repeat
@@ -26,7 +28,7 @@ from itertools import repeat
 import numpy as np
 
 from .basis import expval_tables, shared_basis
-from .errors import ConfigError, IntegrityError, check_range
+from .errors import ConfigError, IntegrityError, UdspinError, check_range
 from .lmg import (
     LmgParams,
     _tables_energy,
@@ -162,12 +164,15 @@ class SweepConfig:
         if not (math.isfinite(self.epsilon) and self.epsilon > 0):
             raise ConfigError("epsilon must be positive and finite")
         _check_count(self.jobs, "jobs", 1)
-        lams = tuple(float(x) for x in self.lambdas)
-        if not lams:
-            lams = default_lambda_grid(self.epsilon)
+        if isinstance(self.lambdas, str) or not isinstance(self.lambdas, Iterable):
+            raise ConfigError(f"lambdas must be a sequence of numbers, got {self.lambdas!r}")
+        lams = tuple(self.lambdas) or default_lambda_grid(self.epsilon)
         for x in lams:
+            if isinstance(x, bool) or not isinstance(x, numbers.Real):
+                raise ConfigError(f"coupling values must be real numbers, got {x!r}")
             if not math.isfinite(x) or x < 0:
                 raise ConfigError(f"coupling values must be finite and >= 0, got {x!r}")
+        lams = tuple(float(x) for x in lams)
         if any(b <= a for a, b in zip(lams, lams[1:])):
             raise ConfigError("coupling grid must be strictly increasing")
         return replace(
@@ -181,48 +186,58 @@ class SweepConfig:
 
 
 def _sweep_point(config: SweepConfig, lam: float) -> tuple:
-    """All records for one coupling, sources in canonical order."""
+    """All records for one coupling, sources in canonical order; a failure
+    is re-raised as its own class, naming N, the coupling and the source."""
+    records = []
+    for source in config.sources:
+        try:
+            records.append(_sweep_record(config, lam, source))
+        except UdspinError as exc:
+            where = f"N={config.n_particles}, lam={lam!r}, source={source}"
+            raise type(exc)(f"{where}: {exc}") from exc
+    return tuple(records)
+
+
+def _sweep_record(config: SweepConfig, lam: float, source: str) -> SweepRecord:
+    """One (coupling, source) row."""
     basis = shared_basis(config.n_particles, 3)
     params = LmgParams(n_particles=config.n_particles, epsilon=config.epsilon, lam=lam)
     point = stationary_point(params)
     want = set(config.observables)
     need_tables = want & {"one_atom", "two_atom", "squeezing_total", "squeezing_pairs"}
     n, d = config.n_particles, 3
-    records = []
-    for source in config.sources:
-        variational = source == "variational"
-        if variational:
-            state = variational_cat(basis, params)
-        else:
-            result = ground_state(params)
-            state = result.state
-        # one moment table per row serves the variational energy and the RDMs
-        if need_tables or (variational and "energy" in want):
-            S, Q = expval_tables(state)
-        values = {"alpha0": point.alpha0, "beta0": point.beta0}
-        if "energy" in want:
-            values["energy"] = _tables_energy(S, Q, params) if variational else result.energy
-        for i in (1, 2, 3):
-            if f"level_entropy_{i}" in want:
-                values[f"L_level_{i}"] = spectrum_entropies(
-                    level_populations(state, i), "level", n, d
-                ).linear
-        if "one_atom" in want:
-            rho1 = one_qudit_rdm_from_tables(S, n)
-            values["L1_atom"] = entropies(rho1, "one_atom", n, d).linear
-        if "two_atom" in want:
-            rho2 = two_qudit_rdm_from_tables(S, Q, n)
-            values["L2_atom"] = entropies(rho2, "two_atom", n, d).linear
-        if want & {"squeezing_total", "squeezing_pairs"}:
-            report = squeezing_report_from_tables(Q, n)
-            if "squeezing_total" in want:
-                values["xi2_total"] = report.total
-            if "squeezing_pairs" in want:
-                values["xi2_21"] = report.pairwise[(2, 1)]
-                values["xi2_31"] = report.pairwise[(3, 1)]
-                values["xi2_32"] = report.pairwise[(3, 2)]
-        records.append(SweepRecord(lam=lam, source=source, **values))
-    return tuple(records)
+    variational = source == "variational"
+    if variational:
+        state = variational_cat(basis, params)
+    else:
+        result = ground_state(params)
+        state = result.state
+    # one moment table per row serves the variational energy and the RDMs
+    if need_tables or (variational and "energy" in want):
+        S, Q = expval_tables(state)
+    values = {"alpha0": point.alpha0, "beta0": point.beta0}
+    if "energy" in want:
+        values["energy"] = _tables_energy(S, Q, params) if variational else result.energy
+    for i in (1, 2, 3):
+        if f"level_entropy_{i}" in want:
+            values[f"L_level_{i}"] = spectrum_entropies(
+                level_populations(state, i), "level", n, d
+            ).linear
+    if "one_atom" in want:
+        rho1 = one_qudit_rdm_from_tables(S, n)
+        values["L1_atom"] = entropies(rho1, "one_atom", n, d).linear
+    if "two_atom" in want:
+        rho2 = two_qudit_rdm_from_tables(S, Q, n)
+        values["L2_atom"] = entropies(rho2, "two_atom", n, d).linear
+    if want & {"squeezing_total", "squeezing_pairs"}:
+        report = squeezing_report_from_tables(Q, n)
+        if "squeezing_total" in want:
+            values["xi2_total"] = report.total
+        if "squeezing_pairs" in want:
+            values["xi2_21"] = report.pairwise[(2, 1)]
+            values["xi2_31"] = report.pairwise[(3, 1)]
+            values["xi2_32"] = report.pairwise[(3, 2)]
+    return SweepRecord(lam=lam, source=source, **values)
 
 
 def run_sweep(config: SweepConfig) -> list:
