@@ -15,8 +15,9 @@ so only sparse one-move matrix elements are ever needed; no D**N tensor
 objects are built in this module.
 
 Level indices are 1-based in every public signature, matching the usual
-physics convention.  Internal storage is 0-based; this is the only place
-where that boundary is documented and every other module follows it.
+physics convention.  Internal storage is 0-based; _levels0 is the one
+place a 1-based level becomes a 0-based position, and every other module
+crosses that boundary through it.
 Occupation vectors are enumerated in descending lexicographic order,
 e.g. for N = 2, D = 3: (2,0,0), (1,1,0), (1,0,1), (0,2,0), (0,1,1),
 (0,0,2).
@@ -30,8 +31,9 @@ from functools import lru_cache
 from itertools import permutations
 
 import numpy as np
+from scipy.linalg.blas import zgemm
 
-from .errors import CapacityError
+from .errors import CapacityError, check_integer
 
 # Refuse an occupation table (dim * D int64 entries) larger than this:
 # the check runs before allocation, so an oversized sector fails with
@@ -62,10 +64,8 @@ __all__ = [
 
 def dimension(n_particles: int, n_levels: int) -> int:
     """Dimension C(N+D-1, D-1) of the symmetric sector for (N, D)."""
-    if n_particles < 0:
-        raise ValueError(f"need n_particles >= 0, got {n_particles}")
-    if n_levels < 1:
-        raise ValueError(f"need n_levels >= 1, got {n_levels}")
+    check_integer(n_particles, 0, None, "n_particles")
+    check_integer(n_levels, 1, None, "n_levels")
     dim = math.comb(n_particles + n_levels - 1, n_levels - 1)
     if dim > _INT64_MAX:
         raise CapacityError(
@@ -73,6 +73,12 @@ def dimension(n_particles: int, n_levels: int) -> int:
             f"overflows 64-bit indexing (dim={dim})"
         )
     return dim
+
+
+def _levels0(n_levels: int, *levels) -> tuple:
+    """0-based positions of 1-based level indices, each checked to lie in
+    1..n_levels: the one place the 1-based boundary is crossed."""
+    return tuple(check_integer(i, 1, n_levels, "level index") - 1 for i in levels)
 
 
 def _compositions(total: int, slots: int):
@@ -160,11 +166,9 @@ def occupation_rank(occupation) -> int:
 def occupation_unrank(index: int, n_particles: int, n_levels: int) -> np.ndarray:
     """Occupation vector of the given rank, inverse of occupation_rank."""
     dim = dimension(n_particles, n_levels)
-    if not 0 <= index < dim:
-        raise ValueError(f"rank {index} outside [0, {dim})")
+    idx = check_integer(index, 0, dim - 1, "rank")
     occ = np.empty(n_levels, dtype=np.int64)
     remaining = n_particles
-    idx = int(index)
     for k in range(n_levels - 1):
         d_rest = n_levels - k - 1
         value = remaining
@@ -189,14 +193,10 @@ class SymmetricBasis:
     """
 
     def __init__(self, n_particles: int, n_levels: int):
-        if n_particles < 1:
-            raise ValueError(f"need n_particles >= 1, got {n_particles}")
-        if n_levels < 2:
-            raise ValueError(f"need n_levels >= 2, got {n_levels}")
-        self.n_particles = int(n_particles)
-        self.n_levels = int(n_levels)
-        self.dim = dimension(n_particles, n_levels)
-        self.occupations = enumerate_occupations(n_particles, n_levels)
+        self.n_particles = check_integer(n_particles, 1, None, "n_particles")
+        self.n_levels = check_integer(n_levels, 2, None, "n_levels")
+        self.dim = dimension(self.n_particles, self.n_levels)
+        self.occupations = enumerate_occupations(self.n_particles, self.n_levels)
         self.occupations.setflags(write=False)
         self._move_cache: dict = {}
         self._sector_cache: dict = {}
@@ -212,21 +212,14 @@ class SymmetricBasis:
         return occupation_rank(occ)
 
     def unrank(self, index: int) -> np.ndarray:
-        if not 0 <= index < self.dim:
-            raise ValueError(f"rank {index} outside [0, {self.dim})")
-        return self.occupations[index].copy()
-
-    def _check_level(self, i: int) -> int:
-        if not 1 <= i <= self.n_levels:
-            raise ValueError(f"level index {i} outside 1..{self.n_levels}")
-        return i - 1
+        return self.occupations[check_integer(index, 0, self.dim - 1, "rank")].copy()
 
     def transitions(self, i: int, j: int):
         """Sparse action of S_ij: arrays (src, dst, amp).
 
         (S_ij psi)[dst] += amp * psi[src]; memoized per (i, j).
         """
-        return self._transitions0(self._check_level(i), self._check_level(j))
+        return self._transitions0(*_levels0(self.n_levels, i, j))
 
     def _transitions0(self, i0: int, j0: int):
         key = (i0, j0)
@@ -239,9 +232,9 @@ class SymmetricBasis:
         given 0/1 parities.  S_ij**2 keeps every parity, so moves[(i0, j0)]
         (i0 != j0) is its (src, dst, amp) table in sector indices, the one
         table the LMG coupling and expval_tables read."""
-        key = tuple(int(p) for p in parities)
-        if len(key) != self.n_levels - 1 or any(p not in (0, 1) for p in key):
-            raise ValueError(f"need {self.n_levels - 1} parities from {{0, 1}}")
+        key = tuple(check_integer(p, 0, 1, "parity") for p in parities)
+        if len(key) != self.n_levels - 1:
+            raise ValueError(f"need {self.n_levels - 1} parities, got {len(key)}")
         if key not in self._sector_cache:
             ranks = np.flatnonzero((self.occupations[:, 1:] % 2 == key).all(axis=1))
             ranks.setflags(write=False)
@@ -336,10 +329,7 @@ def matrix_element(bra_occ, ket_occ, i: int, j: int) -> float:
     ket = np.asarray(ket_occ, dtype=np.int64).ravel()
     if bra.size != ket.size:
         raise ValueError("bra and ket have different level counts")
-    n_levels = ket.size
-    if not (1 <= i <= n_levels and 1 <= j <= n_levels):
-        raise ValueError(f"level indices ({i}, {j}) outside 1..{n_levels}")
-    i0, j0 = i - 1, j - 1
+    i0, j0 = _levels0(ket.size, i, j)
     if i0 == j0:
         if np.array_equal(bra, ket):
             return float(ket[i0])
@@ -418,8 +408,9 @@ def expval_tables(state: SymmetricState):
         for j0 in range(d):
             src, dst, amp = basis._transitions0(i0, j0)
             applied[i0 * d + j0, dst] = amp * c[src]
-    # gram[p, q] = <S_p psi | S_q psi>; with p = (j, i) this is <S_ij S_q>
-    gram = np.conj(applied) @ applied.T
+    # gram[p, q] = <S_p psi | S_q psi>; with p = (j, i) this is <S_ij S_q>.
+    # zgemm conjugates inside the product (trans_a=2): no conjugated copy
+    gram = zgemm(1.0, applied.T, applied.T, trans_a=2)
     S = (np.conj(c) @ applied.T).reshape(d, d)
     Q = gram.reshape(d, d, d, d).transpose(1, 0, 2, 3)
     return S, Q

@@ -23,7 +23,7 @@ import sys
 import numpy as np
 
 from .basis import SymmetricBasis, expval_tables
-from .errors import CapacityError, ConfigError, EmptySectorError, IntegrityError
+from .errors import CapacityError, ConfigError, EmptySectorError, IntegrityError, check_integer
 from .lmg import LmgParams, stationary_point, thermo_energy
 from .rdm import (
     entropies,
@@ -193,8 +193,7 @@ def _resolve_lambdas(args) -> tuple:
         return ()  # SweepConfig fills in the default grid
     if any(v is None for v in triple):
         raise ConfigError("--lambda-min, --lambda-max and --lambda-count go together")
-    if args.lambda_count < 2:
-        raise ConfigError("--lambda-count must be at least 2")
+    check_integer(args.lambda_count, 2, None, "--lambda-count", ConfigError)
     return tuple(
         float(x) for x in np.linspace(args.lambda_min, args.lambda_max, args.lambda_count)
     )
@@ -266,8 +265,7 @@ def _state_and_closed_tables(args):
 
 
 def _cmd_state(args) -> int:
-    if args.n < 3:
-        raise ConfigError("--n must be at least 3 for the two-atom reduction")
+    check_integer(args.n, 3, None, "--n (the two-atom reduction)", ConfigError)
     state, closed, label = _state_and_closed_tables(args)
     n, d = args.n, args.levels
     print(f"state: {args.kind}  N={n}  D={d}  label={label}")

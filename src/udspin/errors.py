@@ -1,6 +1,8 @@
-"""Exception hierarchy shared across the package, and the one range rule."""
+"""Exception hierarchy shared across the package, the one range rule and
+the one integer rule."""
 
 import math
+import numbers
 import sys
 
 
@@ -47,3 +49,19 @@ def check_range(value, kind, what: str, tol: float = 0.0) -> float:
     if not math.isfinite(value):
         raise IntegrityError(f"{what}: non-finite value {value!r}")
     raise IntegrityError(f"{what}: {value!r} outside {shown} beyond tolerance {tol}")
+
+
+def check_integer(value, lo: int, hi: int | None, what: str, error=ValueError) -> int:
+    """The one integer rule for counts, level indices, parities and ranks:
+    a Python or numpy integer, not a bool or a float, in [lo, hi] (hi None
+    for no upper bound).  Returns it as a plain int; anything else raises
+    `error` naming `what`."""
+    if (
+        isinstance(value, numbers.Integral)
+        and not isinstance(value, bool)
+        and lo <= value
+        and (hi is None or value <= hi)
+    ):
+        return int(value)
+    shown = f"of at least {lo}" if hi is None else f"in [{lo}, {hi}]"
+    raise error(f"{what} must be an integer {shown}, got {value!r}")

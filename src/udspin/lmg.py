@@ -45,7 +45,7 @@ import scipy.sparse as sp
 from scipy.linalg import eigh_tridiagonal
 
 from .basis import SymmetricBasis, SymmetricState, _moves, expval_tables, shared_basis
-from .errors import EmptySectorError, IntegrityError
+from .errors import EmptySectorError, IntegrityError, check_integer
 from .states import _coherent_amplitudes, dcat, parity_expval
 
 __all__ = [
@@ -91,6 +91,8 @@ _LANCZOS_MAX_STEPS = 2000
 # two-pass Lanczos never draws from it, so rows depend only on (N, lam, eps)
 _RESTART_SEED = 0
 
+_SECTOR_FORMS = "sector must be 'even', 'full' or a pair of 0/1 parities for levels 2 and 3"
+
 
 @dataclass(frozen=True)
 class LmgParams:
@@ -102,17 +104,12 @@ class LmgParams:
     n_levels: int = 3
 
     def __post_init__(self):
-        count = self.n_particles
-        if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
-            raise ValueError(f"n_particles must be an integer, got {count!r}")
-        if count < 3:
-            raise ValueError(f"need n_particles >= 3, got {count}")
+        check_integer(self.n_particles, 3, None, "n_particles")
         if not (math.isfinite(self.epsilon) and self.epsilon > 0):
             raise ValueError(f"need finite epsilon > 0, got {self.epsilon!r}")
         if not (math.isfinite(self.lam) and self.lam >= 0):
             raise ValueError(f"need finite lam >= 0, got {self.lam!r}")
-        if self.n_levels != 3:
-            raise ValueError("closed forms and Hamiltonian require n_levels == 3")
+        check_integer(self.n_levels, 3, 3, "n_levels (closed forms and Hamiltonian)")
 
 
 @dataclass(frozen=True)
@@ -143,12 +140,12 @@ def _assemble(occupations: np.ndarray, moves):
 
 @lru_cache(maxsize=16)
 def _workspace(n_particles: int):
-    """Shared basis, splitting vector and full-space coupling, once per N;
-    only sector="full" and build_hamiltonian read it."""
-    basis = shared_basis(n_particles, 3)
-    occ = basis.occupations
+    """Occupation table, splitting vector and full-space coupling, once per
+    N; only sector="full" and build_hamiltonian read it.  It holds the
+    table, not the basis, so a basis shared_basis evicts is freed."""
+    occ = shared_basis(n_particles, 3).occupations
     moves = (_moves(occ, i0, j0, 2) for i0, j0 in permutations(range(3), 2))
-    return (basis, *_assemble(occ, moves))
+    return (occ, *_assemble(occ, moves))
 
 
 def _hamiltonian(diag, coupling, params: LmgParams):
@@ -243,13 +240,16 @@ def even_sector_indices(basis: SymmetricBasis) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def _sector_structure(n_particles: int, parities):
-    """Ranks, splitting vector and coupling of one parity sector, from the
-    sector's own moves: the full-space coupling sliced, never built."""
+    """Occupation rows, ranks, splitting vector and coupling of one parity
+    sector, from the sector's own moves: the full-space coupling sliced,
+    never built.  Like _workspace it holds no basis."""
     basis = shared_basis(n_particles, 3)
     idx, moves = basis.parity_sector(parities)
     if idx.size == 0:
         raise EmptySectorError(f"parity sector {parities} is empty")
-    return (basis, idx, *_assemble(basis.occupations[idx], moves.values()))
+    rows = basis.occupations[idx]
+    rows.setflags(write=False)
+    return (rows, idx, *_assemble(rows, moves.values()))
 
 
 def ground_state(params: LmgParams, sector="even") -> GroundStateResult:
@@ -259,24 +259,21 @@ def ground_state(params: LmgParams, sector="even") -> GroundStateResult:
     pair of 0/1 parities for levels 2 and 3, for degeneracy studies.
     """
     n = params.n_particles
-    basis = shared_basis(n, 3)  # not the cached structures' basis, maybe evicted since
+    basis = shared_basis(n, 3)
     if sector == "full":
-        _, dsub, sub = _workspace(n)
+        rows, dsub, sub = _workspace(n)
         idx = np.arange(basis.dim)
     else:
         parities = (0, 0) if sector == "even" else sector
-        pair = isinstance(parities, (tuple, list)) and len(parities) == 2
-        if not (pair and {*parities} <= {0, 1}):
-            raise ValueError(
-                f"sector must be 'even', 'full' or a pair of 0/1 parities for levels 2 and 3,"
-                f" got {sector!r}"
-            )
-        _, idx, dsub, sub = _sector_structure(n, tuple(int(p) for p in parities))
+        if not (isinstance(parities, (tuple, list)) and len(parities) == 2):
+            raise ValueError(f"{_SECTOR_FORMS}, got {sector!r}")
+        parities = tuple(check_integer(p, 0, 1, f"{_SECTOR_FORMS}: parity") for p in parities)
+        rows, idx, dsub, sub = _sector_structure(n, parities)
     where = f"N={n}, lam={params.lam!r}, sector={sector!r}"
     ham = _hamiltonian(dsub, sub, params)
     point = stationary_point(params)
     z0 = np.array([1.0, point.alpha0, point.beta0], dtype=np.complex128)
-    v0 = _coherent_amplitudes(basis.occupations[idx], z0, n).real
+    v0 = _coherent_amplitudes(rows, z0, n).real
     if not v0.any():
         v0 = np.full(idx.size, 1.0 / math.sqrt(idx.size))
     try:

@@ -28,11 +28,12 @@ from scipy.special import gammaln
 
 from .basis import (
     SymmetricState,
+    _levels0,
     expval_matrix,
     expval_tables,
     occupation_ranks,
 )
-from .errors import _ROUNDOFF, CapacityError, IntegrityError, check_range
+from .errors import _ROUNDOFF, CapacityError, IntegrityError, check_integer, check_range
 from .states import dcat_expval_tables
 
 __all__ = [
@@ -63,11 +64,10 @@ __all__ = [
 def level_populations(state: SymmetricState, i: int) -> np.ndarray:
     """Marginal probabilities P(n_i = p), p = 0..N; the level-RDM spectrum."""
     basis = state.basis
-    if not 1 <= i <= basis.n_levels:
-        raise ValueError(f"level index {i} outside 1..{basis.n_levels}")
+    (i0,) = _levels0(basis.n_levels, i)
     weights = np.abs(state.coeffs) ** 2
     return np.bincount(
-        basis.occupations[:, i - 1], weights=weights, minlength=basis.n_particles + 1
+        basis.occupations[:, i0], weights=weights, minlength=basis.n_particles + 1
     )
 
 
@@ -121,9 +121,7 @@ def one_qudit_rdm(state: SymmetricState) -> np.ndarray:
 
 def two_qudit_rdm_from_tables(S: np.ndarray, Q: np.ndarray, n_particles: int) -> np.ndarray:
     """rho2 from moment tables; composite index (i-1) D + (k-1), hermitized."""
-    n = n_particles
-    if n < 2:
-        raise ValueError("two-particle reduction requires n_particles >= 2")
+    n = check_integer(n_particles, 2, None, "n_particles of a two-particle reduction")
     S = np.asarray(S, dtype=np.complex128)
     Q = np.asarray(Q, dtype=np.complex128)
     d = S.shape[0]
@@ -143,9 +141,7 @@ def two_qudit_purity_from_tables(S: np.ndarray, Q: np.ndarray, n_particles: int)
     delta_il S[j,k])/(N(N-1)) gives three contractions: the double-Q
     term, the cross term (twice), and tr(S)^2.
     """
-    n = n_particles
-    if n < 2:
-        raise ValueError("two-particle reduction requires n_particles >= 2")
+    n = check_integer(n_particles, 2, None, "n_particles of a two-particle reduction")
     S = np.asarray(S, dtype=np.complex128)
     Q = np.asarray(Q, dtype=np.complex128)
     t1 = np.sum(Q.transpose(1, 0, 3, 2) * Q)
@@ -252,14 +248,11 @@ def partial_trace_oracle(state: SymmetricState, keep: int) -> np.ndarray:
     (particle 0 is the leftmost factor) and traces out all but `keep`
     particles.  Exponential cost: restricted to N <= 8, D <= 3.
     """
-    if keep not in (1, 2):
-        raise ValueError("keep must be 1 or 2")
     basis = state.basis
     n, d = basis.n_particles, basis.n_levels
+    keep = check_integer(keep, 1, min(2, n), "keep")
     if n > 8 or d > 3:
         raise CapacityError("oracle restricted to N <= 8, D <= 3")
-    if keep >= n + 1:
-        raise ValueError("cannot keep more particles than present")
     total = d**n
     idx = np.arange(total)
     place = d ** np.arange(n - 1, -1, -1)

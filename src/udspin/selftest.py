@@ -17,6 +17,7 @@ import numpy as np
 from .basis import (
     SymmetricBasis,
     SymmetricState,
+    _levels0,
     apply_sij,
     basis_ket,
     dimension,
@@ -98,7 +99,7 @@ def _check_coherent_moments() -> None:
     for i in (1, 2, 3):
         for j in (1, 2, 3):
             direct = expval_sij(state, i, j)
-            entry = closed[i - 1, j - 1]
+            entry = closed[_levels0(3, i, j)]
             assert abs(entry - direct) < 1e-11, (i, j, entry, direct)
 
 
@@ -108,7 +109,7 @@ def _check_cat_moments() -> None:
     cat = dcat(basis, z)
     _, closed = dcat_expval_tables(z, 7)
     for indices in ((1, 1, 2, 2), (2, 1, 1, 2), (3, 1, 1, 3), (2, 1, 2, 1)):
-        entry = closed[tuple(i - 1 for i in indices)]
+        entry = closed[_levels0(3, *indices)]
         direct = expval_sij_skl(cat, *indices)
         assert abs(entry - direct) < 1e-11, (indices, entry, direct)
 

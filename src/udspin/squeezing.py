@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import SymmetricState, expval_sij, expval_sij_skl, expval_tables
+from .basis import SymmetricState, _levels0, expval_sij, expval_sij_skl, expval_tables
 from .errors import _ROUNDOFF, check_range
 
 __all__ = [
@@ -39,16 +39,18 @@ class SqueezingReport:
     total: float
 
 
-def _check_pair(n_levels: int, i: int, j: int) -> None:
-    if not (1 <= j < i <= n_levels):
+def _check_pair(n_levels: int, i: int, j: int) -> tuple:
+    """0-based (i0, j0) of a level pair with j < i."""
+    i0, j0 = _levels0(n_levels, i, j)
+    if j0 >= i0:
         raise ValueError(f"need 1 <= j < i <= {n_levels}, got (i={i}, j={j})")
+    return i0, j0
 
 
 def xi_pair_from_tables(Q: np.ndarray, n_particles: int, i: int, j: int) -> float:
     """Pair squeezing parameter from a quadratic moment table."""
     d = Q.shape[0]
-    _check_pair(d, i, j)
-    i0, j0 = i - 1, j - 1
+    i0, j0 = _check_pair(d, i, j)
     sym = (Q[i0, j0, j0, i0] + Q[j0, i0, i0, j0]).real
     off = abs(Q[i0, j0, i0, j0])
     xi2 = (sym - 2.0 * off) / (n_particles * (d - 1.0))
@@ -57,7 +59,6 @@ def xi_pair_from_tables(Q: np.ndarray, n_particles: int, i: int, j: int) -> floa
 
 def xi_pair(state: SymmetricState, i: int, j: int) -> float:
     """Pair squeezing parameter of a state, read from its moment tables."""
-    _check_pair(state.basis.n_levels, i, j)
     return xi_pair_from_tables(expval_tables(state)[1], state.basis.n_particles, i, j)
 
 

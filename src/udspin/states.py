@@ -30,8 +30,8 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import gammaln
 
-from .basis import SymmetricBasis, SymmetricState
-from .errors import EmptySectorError, IntegrityError
+from .basis import SymmetricBasis, SymmetricState, _levels0
+from .errors import EmptySectorError, IntegrityError, check_integer
 
 __all__ = [
     "representative",
@@ -69,7 +69,7 @@ def _as_orbital(z, n_levels: int | None = None) -> np.ndarray:
 def representative(z, level: int = 1) -> np.ndarray:
     """Rescale z so the given level (default 1) has amplitude exactly 1."""
     z = _as_orbital(z)
-    pivot = z[level - 1]
+    pivot = z[_levels0(z.size, level)]
     if pivot == 0:
         raise ValueError(f"level-{level} amplitude is zero, cannot rescale")
     return z / pivot
@@ -112,18 +112,11 @@ def dscs_overlap(z_bra, z_ket, n_particles: int) -> complex:
     return (inner / scale) ** n_particles
 
 
-def _check_levels(n_levels: int, *indices: int) -> tuple:
-    for idx in indices:
-        if not 1 <= idx <= n_levels:
-            raise ValueError(f"level index {idx} outside 1..{n_levels}")
-    return tuple(i - 1 for i in indices)
-
-
 def dscs_transition_sij(z_bra, z_ket, n_particles: int, i: int, j: int) -> complex:
     """<z'| S_ij |z>: N z'_i* z_j (z'* . z)^(N-1) / (|z'| |z|)^N."""
     zb = _as_orbital(z_bra)
     zk = _as_orbital(z_ket, zb.size)
-    i0, j0 = _check_levels(zb.size, i, j)
+    i0, j0 = _levels0(zb.size, i, j)
     nb, nk = np.linalg.norm(zb), np.linalg.norm(zk)
     unit = complex(np.vdot(zb, zk)) / (nb * nk)
     return complex(
@@ -151,7 +144,7 @@ def dscs_expval_tables(z, n_particles: int):
 
 def _level_signs(basis: SymmetricBasis, j: int) -> np.ndarray:
     """(-1)^(n_j) for every occupation of the basis."""
-    (j0,) = _check_levels(basis.n_levels, j)
+    (j0,) = _levels0(basis.n_levels, j)
     return 1.0 - 2.0 * (basis.occupations[:, j0] % 2)
 
 
@@ -286,7 +279,7 @@ def dcat_expval_tables(z, n_particles: int):
 def dcat_expval_sij(z, n_particles: int, i: int, j: int) -> complex:
     """<S_ij> on the even cat state: one entry of dcat_expval_tables."""
     S, _ = dcat_expval_tables(z, n_particles)
-    return complex(S[_check_levels(S.shape[0], i, j)])
+    return complex(S[_levels0(S.shape[0], i, j)])
 
 
 # ---------------------------------------------------------------------------
@@ -318,9 +311,8 @@ def nodon_expval_tables(n_particles: int, n_levels: int):
     single S_ij can hop between two condensates and extra cross terms
     appear, so smaller N is rejected.
     """
-    if n_particles < 3:
-        raise ValueError("closed form requires n_particles >= 3")
-    n, d = n_particles, n_levels
+    n = check_integer(n_particles, 3, None, "n_particles")
+    d = check_integer(n_levels, 1, None, "n_levels")
     eye = np.eye(d)
     S = (n / d * eye).astype(np.complex128)
     Q = n / d * (np.einsum("il,jk->ijkl", eye, eye) + (n - 1) * _all_equal(d))
@@ -332,4 +324,4 @@ def nodon_expval_sij_skl(
 ) -> complex:
     """<S_ij S_kl> on the NOON-type state: one entry of nodon_expval_tables."""
     _, Q = nodon_expval_tables(n_particles, n_levels)
-    return complex(Q[_check_levels(n_levels, i, j, k, l)])
+    return complex(Q[_levels0(n_levels, i, j, k, l)])

@@ -28,7 +28,7 @@ from itertools import repeat
 import numpy as np
 
 from .basis import expval_tables, shared_basis
-from .errors import ConfigError, IntegrityError, UdspinError, check_range
+from .errors import ConfigError, IntegrityError, UdspinError, check_integer, check_range
 from .lmg import (
     LmgParams,
     _tables_energy,
@@ -114,12 +114,6 @@ _COLUMN_KINDS = {
 }
 
 
-def _check_count(value, name: str, minimum: int) -> None:
-    """A count is an integer, not a bool, of at least `minimum`."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
-        raise ConfigError(f"{name} must be an integer of at least {minimum}, got {value!r}")
-
-
 def default_lambda_grid(epsilon: float = 1.0) -> tuple[float, ...]:
     """121 evenly spaced couplings on [0, 6*epsilon], criticals exact.
 
@@ -160,10 +154,10 @@ class SweepConfig:
 
     def validated(self) -> "SweepConfig":
         """Normalized copy; raises ConfigError on any bad field."""
-        _check_count(self.n_particles, "n_particles", 3)
+        check_integer(self.n_particles, 3, None, "n_particles", ConfigError)
         if not (math.isfinite(self.epsilon) and self.epsilon > 0):
             raise ConfigError("epsilon must be positive and finite")
-        _check_count(self.jobs, "jobs", 1)
+        check_integer(self.jobs, 1, None, "jobs", ConfigError)
         if isinstance(self.lambdas, str) or not isinstance(self.lambdas, Iterable):
             raise ConfigError(f"lambdas must be a sequence of numbers, got {self.lambdas!r}")
         lams = tuple(self.lambdas) or default_lambda_grid(self.epsilon)
@@ -407,7 +401,7 @@ class SurfaceConfig:
     b_count: int = 41
 
     def validated(self) -> "SurfaceConfig":
-        _check_count(self.n_particles, "n_particles", 3)
+        check_integer(self.n_particles, 3, None, "n_particles", ConfigError)
         if not (math.isfinite(self.epsilon) and self.epsilon > 0):
             raise ConfigError("epsilon must be positive and finite")
         if self.kind not in SURFACE_KINDS:
@@ -420,7 +414,7 @@ class SurfaceConfig:
             (self.a_min, self.a_max, self.a_count, "a"),
             (self.b_min, self.b_max, self.b_count, "b"),
         ):
-            _check_count(count, f"{axis}_count", 2)
+            check_integer(count, 2, None, f"{axis}_count", ConfigError)
             if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
                 raise ConfigError(f"need finite {axis}_min < {axis}_max")
         if self.coords == "xy":
