@@ -27,11 +27,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import permutations
 
 import numpy as np
 from scipy.linalg.blas import zgemm
+from scipy.special import gammaln
 
 from .errors import CapacityError, check_integer
 
@@ -116,8 +117,16 @@ def enumerate_occupations(n_particles: int, n_levels: int) -> np.ndarray:
     return out.reshape(dim, n_levels)
 
 
+def _integer_array(values, what: str) -> np.ndarray:
+    """The integer rule for arrays: an integer dtype, never bool or float."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "iu":
+        raise ValueError(f"{what} must hold integers, got dtype {arr.dtype}")
+    return arr.astype(np.int64, copy=False)
+
+
 def _validate_occupation(occupation, n_particles: int, n_levels: int) -> np.ndarray:
-    occ = np.asarray(occupation, dtype=np.int64).ravel()
+    occ = _integer_array(occupation, "occupation").ravel()
     if occ.size != n_levels:
         raise ValueError(f"occupation has {occ.size} levels, expected {n_levels}")
     if (occ < 0).any():
@@ -140,7 +149,7 @@ def occupation_ranks(occupations) -> np.ndarray:
     hockey-stick sum).  Binomials come from a (max sum) x D Pascal table,
     so no entry exceeds the sector dimension.
     """
-    occ = np.asarray(occupations, dtype=np.int64)
+    occ = _integer_array(occupations, "occupations")
     if (occ < 0).any():
         raise ValueError("negative occupation in rank input")
     n_levels = occ.shape[-1]
@@ -184,20 +193,55 @@ def occupation_unrank(index: int, n_particles: int, n_levels: int) -> np.ndarray
     return occ
 
 
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
+class RowSet:
+    """One row set, the full occupation table or one parity sector, and its
+    invariants: rows = occupations[ranks], floats (the same rows as
+    float64), half_log_mult = 0.5 (log N! - sum_i log n_i!) per row and,
+    built on first use, moves[(i0, j0)] (i0 != j0), the (src, dst, amp)
+    table of S_ij**2 in row indices.  Arrays are read-only; no basis is
+    held, so a cached row set keeps no evicted basis alive."""
+
+    def __init__(self, rows: np.ndarray, ranks: np.ndarray, n_particles: int):
+        self.rows, self.ranks, self.n_particles = _frozen(rows), _frozen(ranks), n_particles
+        self.floats = _frozen(rows.astype(np.float64))
+        log_factorials = gammaln(rows + 1.0).sum(axis=1)
+        self.half_log_mult = _frozen(0.5 * (gammaln(n_particles + 1) - log_factorials))
+
+    @cached_property
+    def moves(self) -> dict:
+        # S_ij**2 keeps every parity, so a sector's moves stay inside it
+        moves = {}
+        for i0, j0 in permutations(range(self.rows.shape[1]), 2):
+            src, dst, amp = _moves(self.rows, i0, j0, 2)
+            moves[i0, j0] = src, np.searchsorted(self.ranks, dst), amp
+        return moves
+
+
 class SymmetricBasis:
     """Ranked enumeration of the symmetric (N, D) sector.
 
     Immutable after construction and safe to share across threads or
-    (pickled) worker processes.  Holds the occupation table, memoized
-    S_ij one-move tables and parity sectors; ranks come from occupation_ranks.
+    (pickled) worker processes.  Holds the occupation table, its per-row
+    parity codes and, built on first use, memoized S_ij one-move tables and
+    the RowSet of the full table and of each parity sector; ranks come from
+    occupation_ranks.
     """
 
     def __init__(self, n_particles: int, n_levels: int):
         self.n_particles = check_integer(n_particles, 1, None, "n_particles")
         self.n_levels = check_integer(n_levels, 2, None, "n_levels")
         self.dim = dimension(self.n_particles, self.n_levels)
-        self.occupations = enumerate_occupations(self.n_particles, self.n_levels)
-        self.occupations.setflags(write=False)
+        self.occupations = _frozen(enumerate_occupations(self.n_particles, self.n_levels))
+        # row code sum_k (n_{k+2} mod 2) 2**k in the smallest dtype that holds
+        # D - 1 bits (object beyond 64): rows with equal codes share a sector
+        dtype = np.min_scalar_type(2 ** (self.n_levels - 1) - 1)
+        weights = np.array([1 << k for k in range(self.n_levels - 1)], dtype=dtype)
+        self.parity_codes = _frozen((self.occupations[:, 1:] % 2).astype(dtype) @ weights)
         self._move_cache: dict = {}
         self._sector_cache: dict = {}
 
@@ -227,23 +271,38 @@ class SymmetricBasis:
             self._move_cache[key] = _moves(self.occupations, i0, j0, 1)
         return self._move_cache[key]
 
-    def parity_sector(self, parities):
-        """Memoized (ranks, moves) of the sector whose levels 2..D have the
-        given 0/1 parities.  S_ij**2 keeps every parity, so moves[(i0, j0)]
-        (i0 != j0) is its (src, dst, amp) table in sector indices, the one
-        table the LMG coupling and expval_tables read."""
+    @cached_property
+    def full_rows(self) -> RowSet:
+        """RowSet of the whole occupation table (ranks 0..dim-1)."""
+        return RowSet(self.occupations, np.arange(self.dim), self.n_particles)
+
+    def sector_rows(self, parities) -> RowSet:
+        """Memoized RowSet of the sector whose levels 2..D have the given
+        0/1 parities; its moves are built only when read."""
         key = tuple(check_integer(p, 0, 1, "parity") for p in parities)
         if len(key) != self.n_levels - 1:
             raise ValueError(f"need {self.n_levels - 1} parities, got {len(key)}")
         if key not in self._sector_cache:
-            ranks = np.flatnonzero((self.occupations[:, 1:] % 2 == key).all(axis=1))
-            ranks.setflags(write=False)
-            moves = {}
-            for i0, j0 in permutations(range(self.n_levels), 2):
-                src, dst, amp = _moves(self.occupations[ranks], i0, j0, 2)
-                moves[i0, j0] = src, np.searchsorted(ranks, dst), amp
-            self._sector_cache[key] = ranks, moves
+            code = sum(p << k for k, p in enumerate(key))
+            ranks = np.flatnonzero(self.parity_codes == code)
+            self._sector_cache[key] = RowSet(self.occupations[ranks], ranks, self.n_particles)
         return self._sector_cache[key]
+
+    def parity_sector(self, parities):
+        """Memoized (ranks, moves) of a parity sector: the ranks and S_ij**2
+        move tables of sector_rows(parities), the moves built if not yet."""
+        sector = self.sector_rows(parities)
+        return sector.ranks, sector.moves
+
+    def state_sector(self, coeffs: np.ndarray) -> RowSet | None:
+        """RowSet of the one parity sector holding every nonzero entry of
+        coeffs, or None when they span several sectors or all vanish."""
+        nonzero = coeffs.astype(bool)
+        first = nonzero.argmax()
+        code = int(self.parity_codes[first])
+        if not nonzero[first] or (nonzero & (self.parity_codes != code)).any():
+            return None
+        return self.sector_rows([code >> k & 1 for k in range(self.n_levels - 1)])
 
 
 def _moves(occupations: np.ndarray, i0: int, j0: int, power: int):
@@ -389,18 +448,17 @@ def expval_tables(state: SymmetricState):
     basis = state.basis
     d = basis.n_levels
     c = state.coeffs
-    support = basis.occupations[np.flatnonzero(c), 1:] % 2
-    if support.size and (support == support[0]).all():
-        ranks, moves = basis.parity_sector(support[0])
-        n = basis.occupations[ranks].astype(np.float64)
-        c = c[ranks]
+    sector = basis.state_sector(c)
+    if sector is not None:
+        n = sector.floats
+        c = c[sector.ranks]
         weighted = n.T * np.abs(c) ** 2
         mean, nn = weighted.sum(axis=1), weighted @ n
         Q = np.zeros((d,) * 4, dtype=np.complex128)
         a, b = np.arange(d)[:, None], np.arange(d)
         Q[a, b, b, a] = nn + mean[:, None]
         Q[a, a, b, b] = nn  # overwrites a = b above, where <S_aa S_aa> = <n_a^2>
-        for (i0, j0), (src, dst, amp) in moves.items():
+        for (i0, j0), (src, dst, amp) in sector.moves.items():
             Q[i0, j0, i0, j0] = np.vdot(c[dst], amp * c[src])
         return np.diag(mean).astype(np.complex128), Q
     applied = np.zeros((d * d, basis.dim), dtype=np.complex128)

@@ -231,7 +231,7 @@ def build_hamiltonian(basis: SymmetricBasis, params: LmgParams) -> sp.csr_matrix
 
 def parity_sector_indices(basis: SymmetricBasis, parities) -> np.ndarray:
     """Basis ranks whose occupations of levels 2..D have the given parities."""
-    return basis.parity_sector(parities)[0]
+    return basis.sector_rows(parities).ranks
 
 
 def even_sector_indices(basis: SymmetricBasis) -> np.ndarray:
@@ -243,13 +243,10 @@ def _sector_structure(n_particles: int, parities):
     """Occupation rows, ranks, splitting vector and coupling of one parity
     sector, from the sector's own moves: the full-space coupling sliced,
     never built.  Like _workspace it holds no basis."""
-    basis = shared_basis(n_particles, 3)
-    idx, moves = basis.parity_sector(parities)
-    if idx.size == 0:
+    sector = shared_basis(n_particles, 3).sector_rows(parities)
+    if sector.ranks.size == 0:
         raise EmptySectorError(f"parity sector {parities} is empty")
-    rows = basis.occupations[idx]
-    rows.setflags(write=False)
-    return (rows, idx, *_assemble(rows, moves.values()))
+    return (sector.rows, sector.ranks, *_assemble(sector.rows, sector.moves.values()))
 
 
 def ground_state(params: LmgParams, sector="even") -> GroundStateResult:
@@ -261,21 +258,22 @@ def ground_state(params: LmgParams, sector="even") -> GroundStateResult:
     n = params.n_particles
     basis = shared_basis(n, 3)
     if sector == "full":
-        rows, dsub, sub = _workspace(n)
-        idx = np.arange(basis.dim)
+        _, dsub, sub = _workspace(n)
+        rows = basis.full_rows
     else:
         parities = (0, 0) if sector == "even" else sector
         if not (isinstance(parities, (tuple, list)) and len(parities) == 2):
             raise ValueError(f"{_SECTOR_FORMS}, got {sector!r}")
         parities = tuple(check_integer(p, 0, 1, f"{_SECTOR_FORMS}: parity") for p in parities)
-        rows, idx, dsub, sub = _sector_structure(n, parities)
+        _, _, dsub, sub = _sector_structure(n, parities)
+        rows = basis.sector_rows(parities)
     where = f"N={n}, lam={params.lam!r}, sector={sector!r}"
     ham = _hamiltonian(dsub, sub, params)
     point = stationary_point(params)
     z0 = np.array([1.0, point.alpha0, point.beta0], dtype=np.complex128)
-    v0 = _coherent_amplitudes(rows, z0, n).real
+    v0 = _coherent_amplitudes(rows, z0).real
     if not v0.any():
-        v0 = np.full(idx.size, 1.0 / math.sqrt(idx.size))
+        v0 = np.full(rows.ranks.size, 1.0 / math.sqrt(rows.ranks.size))
     try:
         eigvals, eigvecs = eigsh(
             ham, k=1, which="SA", v0=v0, rng=np.random.default_rng(_RESTART_SEED)
@@ -287,7 +285,7 @@ def ground_state(params: LmgParams, sector="even") -> GroundStateResult:
     if not residual <= _RESIDUAL_TOL * (params.epsilon + params.lam):  # NaN fails
         raise IntegrityError(f"eigenpair residual {residual:.3e} at {where}")
     full = np.zeros(basis.dim, dtype=np.complex128)
-    full[idx] = vec
+    full[rows.ranks] = vec
     # deterministic sign: largest-magnitude coefficient made positive
     pivot = int(np.argmax(np.abs(full)))
     if full[pivot].real < 0:

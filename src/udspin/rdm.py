@@ -65,10 +65,11 @@ def level_populations(state: SymmetricState, i: int) -> np.ndarray:
     """Marginal probabilities P(n_i = p), p = 0..N; the level-RDM spectrum."""
     basis = state.basis
     (i0,) = _levels0(basis.n_levels, i)
-    weights = np.abs(state.coeffs) ** 2
-    return np.bincount(
-        basis.occupations[:, i0], weights=weights, minlength=basis.n_particles + 1
-    )
+    c, rows = state.coeffs, basis.occupations
+    sector = basis.state_sector(c)
+    if sector is not None:  # skips only exact zeros: the same sums, in the same order
+        c, rows = c[sector.ranks], sector.rows
+    return np.bincount(rows[:, i0], weights=np.abs(c) ** 2, minlength=basis.n_particles + 1)
 
 
 def level_rdm(state: SymmetricState, i: int) -> np.ndarray:
@@ -89,9 +90,9 @@ def dscs_level_weights(n_particles: int, x: float, y: float) -> np.ndarray:
     which is the weight of occupation N - n of the chosen level (the
     returned array is indexed by n, not by occupation).
     """
+    n = check_integer(n_particles, 1, None, "n_particles")
     if x < 0 or y < 0 or x + y == 0:
         raise ValueError("need x, y >= 0 with x + y > 0")
-    n = n_particles
     ks = np.arange(n + 1)
     if x == 0.0:
         out = np.zeros(n + 1)

@@ -28,9 +28,8 @@ forms, which assume the representative normalization z_1 = 1.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import gammaln
 
-from .basis import SymmetricBasis, SymmetricState, _levels0
+from .basis import RowSet, SymmetricBasis, SymmetricState, _levels0
 from .errors import EmptySectorError, IntegrityError, check_integer
 
 __all__ = [
@@ -75,9 +74,9 @@ def representative(z, level: int = 1) -> np.ndarray:
     return z / pivot
 
 
-def _coherent_amplitudes(occupations: np.ndarray, z: np.ndarray, n: int) -> np.ndarray:
+def _coherent_amplitudes(rows: RowSet, z: np.ndarray) -> np.ndarray:
     """Amplitudes sqrt(N!/prod n_i!) prod z_i^n_i / |z|^N of the unit-norm
-    coherent state |z> on the given occupation rows.
+    coherent state |z> on a row set, from its cached log-multinomials.
 
     Log-space evaluation keeps the multinomial weights finite for any
     supported particle number; rows that occupy a level with z_i = 0 get 0.
@@ -86,12 +85,11 @@ def _coherent_amplitudes(occupations: np.ndarray, z: np.ndarray, n: int) -> np.n
     finite = z != 0
     logz = np.zeros(z.size, dtype=np.complex128)
     logz[finite] = np.log(z[finite])
-    log_mult = 0.5 * (gammaln(n + 1) - gammaln(occupations + 1.0).sum(axis=1))
-    w = occupations.astype(np.float64) @ logz
-    log_amp = log_mult + w.real - 0.5 * n * np.log(norm2)
+    w = rows.floats @ logz
+    log_amp = rows.half_log_mult + w.real - 0.5 * rows.n_particles * np.log(norm2)
     coeffs = np.exp(log_amp + 1j * w.imag)
     if not finite.all():
-        dead = (occupations[:, ~finite] > 0).any(axis=1)
+        dead = (rows.rows[:, ~finite] > 0).any(axis=1)
         coeffs[dead] = 0.0
     return coeffs
 
@@ -99,29 +97,29 @@ def _coherent_amplitudes(occupations: np.ndarray, z: np.ndarray, n: int) -> np.n
 def dscs(basis: SymmetricBasis, z) -> SymmetricState:
     """Coherent state |z>: amplitudes sqrt(N!/prod n_i!) prod z_i^n_i / |z|^N."""
     z = _as_orbital(z, basis.n_levels)
-    coeffs = _coherent_amplitudes(basis.occupations, z, basis.n_particles)
+    coeffs = _coherent_amplitudes(basis.full_rows, z)
     return SymmetricState(basis, coeffs).normalized()
 
 
 def dscs_overlap(z_bra, z_ket, n_particles: int) -> complex:
     """<z'|z> = (z'* . z)**N / (|z'| |z|)**N, unit-stable power form."""
+    n = check_integer(n_particles, 1, None, "n_particles")
     zb = _as_orbital(z_bra)
     zk = _as_orbital(z_ket, zb.size)
     inner = complex(np.vdot(zb, zk))
     scale = float(np.linalg.norm(zb) * np.linalg.norm(zk))
-    return (inner / scale) ** n_particles
+    return (inner / scale) ** n
 
 
 def dscs_transition_sij(z_bra, z_ket, n_particles: int, i: int, j: int) -> complex:
     """<z'| S_ij |z>: N z'_i* z_j (z'* . z)^(N-1) / (|z'| |z|)^N."""
+    n = check_integer(n_particles, 1, None, "n_particles")
     zb = _as_orbital(z_bra)
     zk = _as_orbital(z_ket, zb.size)
     i0, j0 = _levels0(zb.size, i, j)
     nb, nk = np.linalg.norm(zb), np.linalg.norm(zk)
     unit = complex(np.vdot(zb, zk)) / (nb * nk)
-    return complex(
-        n_particles * np.conj(zb[i0]) * zk[j0] * unit ** (n_particles - 1) / (nb * nk)
-    )
+    return complex(n * np.conj(zb[i0]) * zk[j0] * unit ** (n - 1) / (nb * nk))
 
 
 def dscs_expval_tables(z, n_particles: int):
@@ -131,7 +129,7 @@ def dscs_expval_tables(z, n_particles: int):
     Q[i, j, k, l] = N P_il delta_jk + N (N - 1) P_il P_kj.
     """
     z = _as_orbital(z)
-    n = n_particles
+    n = check_integer(n_particles, 1, None, "n_particles")
     P = np.outer(np.conj(z), z) / np.vdot(z, z).real
     Q = n * np.einsum("il,jk->ijkl", P, np.eye(z.size))
     Q += n * (n - 1) * np.einsum("il,kj->ijkl", P, P)
@@ -159,7 +157,7 @@ def parity_expval(state: SymmetricState, j: int) -> float:
 
 
 def _project(state: SymmetricState, parity: str):
-    even = (state.basis.occupations[:, 1:] % 2 == 0).all(axis=1)
+    even = state.basis.parity_codes == 0
     kept = np.where(even == (parity == "even"), state.coeffs, 0.0)
     sq = float(np.sum(np.abs(kept) ** 2))
     if sq < 1e-14:
@@ -201,9 +199,10 @@ def _cat_weights(z: np.ndarray):
 
 def dcat_norm_squared(z, n_particles: int) -> float:
     """Squared norm of the even projection of |z>: 2^(1-D) sum_b u_b^N."""
+    n = check_integer(n_particles, 1, None, "n_particles")
     z = _as_orbital(z)
     u, _ = _cat_weights(z)
-    return float(2.0 ** (1 - z.size) * np.sum(u**n_particles))
+    return float(2.0 ** (1 - z.size) * np.sum(u**n))
 
 
 def dcat(basis: SymmetricBasis, z) -> SymmetricState:
@@ -214,8 +213,8 @@ def dcat(basis: SymmetricBasis, z) -> SymmetricState:
     its closed form; a mismatch beyond 1e-10 raises IntegrityError.
     """
     z = _as_orbital(z, basis.n_levels)
-    ranks = basis.parity_sector((0,) * (basis.n_levels - 1))[0]
-    amps = _coherent_amplitudes(basis.occupations[ranks], z, basis.n_particles)
+    sector = basis.sector_rows((0,) * (basis.n_levels - 1))
+    amps = _coherent_amplitudes(sector, z)
     sq = float(np.sum(np.abs(amps) ** 2))
     if sq < 1e-14:
         raise EmptySectorError("even-parity projection annihilated the state")
@@ -225,7 +224,7 @@ def dcat(basis: SymmetricBasis, z) -> SymmetricState:
             f"cat-state norm mismatch: projection {sq!r} vs closed form {closed!r}"
         )
     coeffs = np.zeros(basis.dim, dtype=np.complex128)
-    coeffs[ranks] = amps / np.sqrt(sq)
+    coeffs[sector.ranks] = amps / np.sqrt(sq)
     return SymmetricState(basis, coeffs)
 
 
@@ -250,7 +249,7 @@ def dcat_expval_tables(z, n_particles: int):
     indices pair up, (i=j, k=l), (i=k, j=l) or (i=l, j=k), as the even
     sector requires.
     """
-    n = n_particles
+    n = check_integer(n_particles, 1, None, "n_particles")
     z = representative(z)
     d = z.size
     u, signs = _cat_weights(z)
