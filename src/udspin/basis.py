@@ -337,7 +337,10 @@ def shared_basis(n_particles: int, n_levels: int) -> SymmetricBasis:
 
 @dataclass
 class SymmetricState:
-    """Vector in the symmetric sector: complex coefficients over the basis."""
+    """Vector in the symmetric sector: complex coefficients over the basis.
+
+    The coefficients are read-only, a writeable array passed in being
+    copied, so the parity sector they lie in is chosen once per state."""
 
     basis: SymmetricBasis
     coeffs: np.ndarray = field(repr=False)
@@ -348,7 +351,10 @@ class SymmetricState:
             raise ValueError(
                 f"coefficient vector has length {c.size}, basis dim {self.basis.dim}"
             )
-        self.coeffs = c
+        if c.flags.writeable and np.may_share_memory(c, self.coeffs):
+            c = c.copy()  # a caller's array may change; a read-only one is kept
+        self.coeffs = _frozen(c)
+        self._sector = None  # (coeffs, state_sector(coeffs)) once chosen
 
     @property
     def norm(self) -> float:
@@ -358,11 +364,19 @@ class SymmetricState:
         n = self.norm
         if n < 1e-14:
             raise ValueError("cannot normalize a zero state")
-        return SymmetricState(self.basis, self.coeffs / n)
+        return SymmetricState(self.basis, _frozen(self.coeffs / n))
 
     def overlap(self, other: "SymmetricState") -> complex:
         _same_basis(self, other)
         return complex(np.vdot(self.coeffs, other.coeffs))
+
+
+def _state_sector(state: SymmetricState) -> RowSet | None:
+    """basis.state_sector of the state's coefficients, chosen once per
+    state: they are read-only, so the choice stays valid."""
+    if state._sector is None or state._sector[0] is not state.coeffs:
+        state._sector = (state.coeffs, state.basis.state_sector(state.coeffs))
+    return state._sector[1]
 
 
 def _same_basis(a: SymmetricState, b: SymmetricState) -> None:
@@ -409,7 +423,7 @@ def apply_sij(state: SymmetricState, i: int, j: int) -> SymmetricState:
     src, dst, amp = basis.transitions(i, j)
     out = np.zeros(basis.dim, dtype=np.complex128)
     out[dst] = amp * state.coeffs[src]
-    return SymmetricState(basis, out)
+    return SymmetricState(basis, _frozen(out))
 
 
 def expval_sij(state: SymmetricState, i: int, j: int) -> complex:
@@ -441,14 +455,15 @@ def expval_tables(state: SymmetricState):
     Q[a, b, c, e] = <S_{a+1, b+1} S_{c+1, e+1}> of shape (D, D, D, D).
     On one parity sector every S_ij (i != j) leaves the sector, so S =
     diag<n_i> and Q holds only <n_i n_k>, <S_ij S_ji> = <n_i (n_j + 1)>
-    and <S_ij^2> (from the sector's moves): O(dim) reductions.  Any other
+    and <S_ij^2> (i < j from the sector's moves, <S_ji^2> its conjugate):
+    O(dim) numpy reductions, none through BLAS.  Any other
     state pays D**2 memoized moves scattered into one (D**2, dim) block
     plus one Gram matrix product, instead of D**4 quadratic evaluations.
     """
     basis = state.basis
     d = basis.n_levels
     c = state.coeffs
-    sector = basis.state_sector(c)
+    sector = _state_sector(state)
     if sector is not None:
         n = sector.floats
         c = c[sector.ranks]
@@ -459,7 +474,11 @@ def expval_tables(state: SymmetricState):
         Q[a, b, b, a] = nn + mean[:, None]
         Q[a, a, b, b] = nn  # overwrites a = b above, where <S_aa S_aa> = <n_a^2>
         for (i0, j0), (src, dst, amp) in sector.moves.items():
-            Q[i0, j0, i0, j0] = np.vdot(c[dst], amp * c[src])
+            if i0 < j0:  # S_ji**2 is the adjoint of S_ij**2
+                # numpy's pairwise sum, not BLAS zdotc, whose threaded
+                # split reorders the sum with the BLAS thread count
+                Q[i0, j0, i0, j0] = (np.conj(c[dst]) * (amp * c[src])).sum()
+                Q[j0, i0, j0, i0] = Q[i0, j0, i0, j0].conjugate()
         return np.diag(mean).astype(np.complex128), Q
     applied = np.zeros((d * d, basis.dim), dtype=np.complex128)
     for i0 in range(d):

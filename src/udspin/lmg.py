@@ -11,11 +11,14 @@ restricts there by default, which also picks a deterministic
 representative among the near-degenerate finite-N levels of the broken
 phases.  A parity sector is assembled from its own S_ij^2 moves; the
 full-space coupling is built only for sector "full" and build_hamiltonian.
-Every sector, full space and the single-state sector at N = 3 included,
-goes through one solver: a two-pass Lanczos (eigsh here, lowest
-eigenvalue) without reorthogonalization.  Its first pass keeps only the
-tridiagonal coefficients until the lowest Ritz pair converges; its
-second reruns the same recurrence to assemble the Ritz vector.  Lanczos
+Each sector keeps the CSR pattern of H, and every coupling writes its
+entries into a fresh data array on that pattern, bit for bit what scipy's
+sparse arithmetic gave.  Every sector, full space and the single-state
+sector at N = 3 included, goes through one solver: a two-pass Lanczos
+(eigsh here, lowest eigenvalue) without reorthogonalization, updating
+preallocated vectors in place.  Its first pass keeps only the tridiagonal
+coefficients until the lowest Ritz pair converges; its second replays
+them, one matvec per step, to assemble the Ritz vector.  Lanczos
 starts from the coherent state at the mean-field minimizer on the
 sector's rows -- the variational cat on the even sector -- or from the
 uniform vector where that restriction vanishes.  It draws no random
@@ -43,8 +46,9 @@ from itertools import permutations
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import eigh_tridiagonal
+from scipy.sparse._sparsetools import csr_matvec
 
-from .basis import SymmetricBasis, SymmetricState, _moves, expval_tables, shared_basis
+from .basis import SymmetricBasis, SymmetricState, _frozen, _moves, expval_tables, shared_basis
 from .errors import EmptySectorError, IntegrityError, check_integer
 from .states import _coherent_amplitudes, dcat, parity_expval
 
@@ -148,74 +152,137 @@ def _workspace(n_particles: int):
     return (occ, *_assemble(occ, moves))
 
 
-def _hamiltonian(diag, coupling, params: LmgParams):
-    """H = eps/N diag - lam/(N(N-1)) coupling, in floats: scipy.sparse has
-    no dtype for exact Fraction couplings."""
+@lru_cache(maxsize=64)
+def _pattern(n_particles: int, sector):
+    """CSR pattern of H on a sector (a parity pair, or "full"), as scipy's
+    sp.diags(eps/N diag) - s coupling stores it: the coupling's entries
+    plus, in column order, the diagonal of every row where n_3 != n_1.
+    Returns the read-only (indptr, indices, on_diag, has_diag) that every
+    H of the sector shares, the splitting vector and the coupling's values."""
+    if sector == "full":
+        _, diag, coupling = _workspace(n_particles)
+    else:
+        _, _, diag, coupling = _sector_structure(n_particles, sector)
+    indptr, indices = coupling.indptr, coupling.indices
+    has = diag != 0
+    row = np.repeat(np.arange(diag.size, dtype=indices.dtype), np.diff(indptr))
+    # a row's diagonal goes after its entries left of the diagonal
+    slot = (indptr[:-1] + np.bincount(row[indices < row], minlength=diag.size))[has]
+    grown = np.zeros(indptr.size, dtype=indptr.dtype)
+    np.cumsum(has, out=grown[1:])
+    return (
+        _frozen(indptr + grown),
+        _frozen(np.insert(indices, slot, np.flatnonzero(has))),
+        _frozen(np.insert(np.zeros(indices.size, dtype=bool), slot, True)),
+        _frozen(has),
+        diag,
+        coupling.data,
+    )
+
+
+def _hamiltonian(params: LmgParams, sector) -> sp.csr_matrix:
+    """H = eps/N diag - lam/(N(N-1)) coupling on a sector, in floats
+    (scipy.sparse has no dtype for exact Fraction couplings): a fresh data
+    array on the sector's shared pattern, with the entries and bits of
+    sp.diags(eps/N diag) - s coupling.  That subtraction stores no zero,
+    so entries that are zero (every off-diagonal one at lam = 0) go."""
     n = params.n_particles
-    kin = sp.diags(float(params.epsilon) / n * diag)
-    return kin - float(params.lam) / (n * (n - 1)) * coupling
+    indptr, indices, on_diag, has_diag, diag, couplings = _pattern(n, sector)
+    data = np.empty(indices.size)
+    data[on_diag] = float(params.epsilon) / n * diag[has_diag]
+    data[~on_diag] = couplings * (-float(params.lam) / (n * (n - 1)))  # -(s C), bit for bit
+    if not data.all():
+        keep = data != 0
+        kept = np.zeros(indices.size + 1, dtype=indptr.dtype)
+        np.cumsum(keep, out=kept[1:])
+        data, indices, indptr = data[keep], indices[keep], kept[indptr]
+    return sp.csr_matrix((data, indices, indptr), shape=(indptr.size - 1,) * 2)
 
 
 class _NoConvergence(Exception):
     """Lanczos reached _LANCZOS_MAX_STEPS; ground_state names where."""
 
 
-def _recurrence(ham, start: np.ndarray):
-    """Lanczos vectors q_k with alpha_k = q_k.H q_k and beta_{k+1}, by the
-    three-term recurrence without reorthogonalization.  Sums are numpy's
-    pairwise reductions, not BLAS ddot, whose threaded split reorders
-    them with the BLAS thread count; so a rerun rebuilds the same vectors
-    bit for bit.  The caller stops at a zero beta."""
-    q = start / math.sqrt((start * start).sum())
-    prev, beta = np.zeros_like(q), 0.0
-    while True:
-        w = ham @ q
-        w -= beta * prev
-        alpha = float((q * w).sum())
-        w -= alpha * q
-        beta = math.sqrt((w * w).sum())
-        yield q, alpha, beta
-        prev, q = q, w / beta
-
-
 def eigsh(ham, *, k=1, which="SA", v0, rng=None):
     """Lowest eigenpair of the real symmetric `ham` by two-pass Lanczos,
     in scipy's eigsh shape: eigenvalues (1,) and eigenvectors (dim, 1).
 
-    The first pass keeps only alpha and beta, and every
-    _LANCZOS_CHECK_EVERY steps takes the lowest pair (theta, y) of the
-    tridiagonal T; it stops once |beta_m y_m| <= _LANCZOS_TOL ||T||, with
-    ||T|| bounded by Gershgorin.  A vanishing beta (the start spans an
-    invariant subspace, as the cat start |N,0,0> at lam = 0 or a one-state
-    sector) gives an exact Ritz pair.  The second pass reruns the
-    recurrence to sum the Ritz vector, so a few vectors are held, not a
-    Krylov basis.  Orthogonality is lost only as Ritz values converge
-    (Paige 1972), so the lowest pair stays reliable without
-    reorthogonalization.  `rng` keeps eigsh's call shape; no restart
-    vector is ever drawn from it.
+    Both passes run the three-term recurrence without reorthogonalization
+    on four preallocated vectors, with in-place updates and numpy's
+    pairwise sums rather than BLAS ddot, whose threaded split reorders
+    them with the BLAS thread count.  The first pass keeps only alpha_k =
+    q_k.H q_k and beta_k, and every _LANCZOS_CHECK_EVERY steps takes the
+    lowest pair (theta, y) of the tridiagonal T; it stops once |beta_m
+    y_m| <= _LANCZOS_TOL ||T||, with ||T|| bounded by Gershgorin.  A
+    vanishing beta (the start spans an invariant subspace, as the cat
+    start |N,0,0> at lam = 0 or a one-state sector) gives an exact Ritz
+    pair.  The second pass replays the stored alpha and beta, one matvec
+    and the vector updates per step, and sums the Ritz vector: the same
+    operations in the same order rebuild every q_k bit for bit, and only
+    a few vectors are held, not a Krylov basis.  Orthogonality is lost
+    only as Ritz values converge (Paige 1972), so the lowest pair stays
+    reliable without reorthogonalization.  `ham` is taken as a float64
+    CSR matrix (one already is used as it is) and must match v0, since the
+    product kernel checks no bounds.  `rng` keeps eigsh's call shape; no
+    restart vector is ever drawn from it.
     """
     if k != 1 or which != "SA":
         raise ValueError("only the lowest eigenpair (k=1, which='SA') is computed")
+    ham = sp.csr_matrix(ham, dtype=np.float64)  # no copy of a float64 CSR
+    v0 = np.asarray(v0, dtype=np.float64)
+    dim = v0.size
+    if ham.shape != (dim, dim) or v0.shape != (dim,):
+        raise ValueError(f"need a square ham matching v0, got {ham.shape} and {v0.shape}")
+    csr = (dim, dim, ham.indptr, ham.indices, ham.data)
+
+    def matvec(x, out):
+        # out = ham @ x through the kernel scipy's own product calls, into
+        # zeros as it does, without its allocation and dispatch
+        out.fill(0.0)
+        csr_matvec(*csr, x, out)
+
+    q, prev, w, tmp = v0 / math.sqrt((v0 * v0).sum()), np.zeros(dim), np.empty(dim), np.empty(dim)
     alphas, betas, norm_t = [], [0.0], 0.0
-    for _, alpha, beta in _recurrence(ham, v0):
+    while True:
+        matvec(q, w)
+        np.multiply(prev, betas[-1], out=tmp)
+        w -= tmp
+        np.multiply(q, w, out=tmp)
+        alpha = float(tmp.sum())
+        np.multiply(q, alpha, out=tmp)
+        w -= tmp
+        np.multiply(w, w, out=tmp)
+        beta = math.sqrt(tmp.sum())
         norm_t = max(norm_t, abs(alpha) + betas[-1] + beta)
         alphas.append(alpha)
         betas.append(beta)
         steps = len(alphas)
         tol = _LANCZOS_TOL * norm_t
         # in exact arithmetic the Krylov space is complete at step dim
-        check = steps % _LANCZOS_CHECK_EVERY == 0 or steps in (len(v0), _LANCZOS_MAX_STEPS)
-        if beta > tol and not check:
-            continue
-        theta, y = eigh_tridiagonal(alphas, betas[1:-1], select="i", select_range=(0, 0))
-        estimate = beta * abs(y[-1, 0])
-        if estimate <= tol:
-            break
-        if steps >= _LANCZOS_MAX_STEPS:
-            raise _NoConvergence(f"{steps} Lanczos steps left residual estimate {estimate:.3e}")
-    vec = np.zeros(len(v0))
-    for coeff, (q, _, _) in zip(y[:, 0], _recurrence(ham, v0)):  # y first: no extra step
-        vec += coeff * q
+        check = steps % _LANCZOS_CHECK_EVERY == 0 or steps in (dim, _LANCZOS_MAX_STEPS)
+        if check or not beta > tol:  # a NaN beta is checked too
+            theta, y = eigh_tridiagonal(alphas, betas[1:-1], select="i", select_range=(0, 0))
+            estimate = beta * abs(y[-1, 0])
+            if estimate <= tol:
+                break
+            if steps >= _LANCZOS_MAX_STEPS:
+                raise _NoConvergence(f"{steps} Lanczos steps left residual estimate {estimate:.3e}")
+        np.divide(w, beta, out=prev)
+        prev, q = q, prev
+    q = v0 / math.sqrt((v0 * v0).sum())
+    prev.fill(0.0)
+    vec = np.zeros(dim)
+    for step, coeff in enumerate(y[:, 0]):
+        if step:
+            matvec(q, w)
+            np.multiply(prev, betas[step - 1], out=tmp)
+            w -= tmp
+            np.multiply(q, alphas[step - 1], out=tmp)
+            w -= tmp
+            np.divide(w, betas[step], out=prev)
+            prev, q = q, prev
+        np.multiply(q, coeff, out=tmp)
+        vec += tmp
     return theta, (vec / math.sqrt((vec * vec).sum()))[:, None]
 
 
@@ -225,8 +292,7 @@ def build_hamiltonian(basis: SymmetricBasis, params: LmgParams) -> sp.csr_matrix
         raise ValueError("Hamiltonian requires a three-level basis")
     if basis.n_particles != params.n_particles:
         raise ValueError("basis and params disagree on n_particles")
-    _, diag, coupling = _workspace(params.n_particles)
-    return _hamiltonian(diag, coupling, params).tocsr()
+    return _hamiltonian(params, "full").copy()  # its own index arrays, not the cached ones
 
 
 def parity_sector_indices(basis: SymmetricBasis, parities) -> np.ndarray:
@@ -258,17 +324,15 @@ def ground_state(params: LmgParams, sector="even") -> GroundStateResult:
     n = params.n_particles
     basis = shared_basis(n, 3)
     if sector == "full":
-        _, dsub, sub = _workspace(n)
-        rows = basis.full_rows
+        key, rows = "full", basis.full_rows
     else:
         parities = (0, 0) if sector == "even" else sector
         if not (isinstance(parities, (tuple, list)) and len(parities) == 2):
             raise ValueError(f"{_SECTOR_FORMS}, got {sector!r}")
-        parities = tuple(check_integer(p, 0, 1, f"{_SECTOR_FORMS}: parity") for p in parities)
-        _, _, dsub, sub = _sector_structure(n, parities)
-        rows = basis.sector_rows(parities)
+        key = tuple(check_integer(p, 0, 1, f"{_SECTOR_FORMS}: parity") for p in parities)
+        rows = basis.sector_rows(key)
     where = f"N={n}, lam={params.lam!r}, sector={sector!r}"
-    ham = _hamiltonian(dsub, sub, params)
+    ham = _hamiltonian(params, key)
     point = stationary_point(params)
     z0 = np.array([1.0, point.alpha0, point.beta0], dtype=np.complex128)
     v0 = _coherent_amplitudes(rows, z0).real
@@ -281,16 +345,18 @@ def ground_state(params: LmgParams, sector="even") -> GroundStateResult:
     except _NoConvergence as exc:
         raise IntegrityError(f"eigensolver failed to converge at {where}: {exc}") from exc
     energy, vec = float(eigvals[0]), eigvecs[:, 0]
-    residual = float(np.linalg.norm(ham @ vec - energy * vec))
+    misfit = ham @ vec - energy * vec
+    residual = math.sqrt((misfit * misfit).sum())  # numpy's sum, not BLAS: see eigsh
     if not residual <= _RESIDUAL_TOL * (params.epsilon + params.lam):  # NaN fails
         raise IntegrityError(f"eigenpair residual {residual:.3e} at {where}")
+    del ham, misfit  # freed before the full-space vectors below
     full = np.zeros(basis.dim, dtype=np.complex128)
     full[rows.ranks] = vec
     # deterministic sign: largest-magnitude coefficient made positive
     pivot = int(np.argmax(np.abs(full)))
     if full[pivot].real < 0:
-        full = -full
-    state = SymmetricState(basis, full)
+        np.negative(full, out=full)
+    state = SymmetricState(basis, _frozen(full))
     signature = np.array(
         [parity_expval(state, j) for j in range(1, basis.n_levels + 1)]
     )

@@ -29,6 +29,7 @@ from scipy.special import gammaln
 from .basis import (
     SymmetricState,
     _levels0,
+    _state_sector,
     expval_matrix,
     expval_tables,
     occupation_ranks,
@@ -66,7 +67,7 @@ def level_populations(state: SymmetricState, i: int) -> np.ndarray:
     basis = state.basis
     (i0,) = _levels0(basis.n_levels, i)
     c, rows = state.coeffs, basis.occupations
-    sector = basis.state_sector(c)
+    sector = _state_sector(state)
     if sector is not None:  # skips only exact zeros: the same sums, in the same order
         c, rows = c[sector.ranks], sector.rows
     return np.bincount(rows[:, i0], weights=np.abs(c) ** 2, minlength=basis.n_particles + 1)

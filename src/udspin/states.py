@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .basis import RowSet, SymmetricBasis, SymmetricState, _levels0
+from .basis import RowSet, SymmetricBasis, SymmetricState, _frozen, _levels0
 from .errors import EmptySectorError, IntegrityError, check_integer
 
 __all__ = [
@@ -98,7 +98,7 @@ def dscs(basis: SymmetricBasis, z) -> SymmetricState:
     """Coherent state |z>: amplitudes sqrt(N!/prod n_i!) prod z_i^n_i / |z|^N."""
     z = _as_orbital(z, basis.n_levels)
     coeffs = _coherent_amplitudes(basis.full_rows, z)
-    return SymmetricState(basis, coeffs).normalized()
+    return SymmetricState(basis, _frozen(coeffs)).normalized()
 
 
 def dscs_overlap(z_bra, z_ket, n_particles: int) -> complex:
@@ -225,7 +225,7 @@ def dcat(basis: SymmetricBasis, z) -> SymmetricState:
         )
     coeffs = np.zeros(basis.dim, dtype=np.complex128)
     coeffs[sector.ranks] = amps / np.sqrt(sq)
-    return SymmetricState(basis, coeffs)
+    return SymmetricState(basis, _frozen(coeffs))
 
 
 def _all_equal(d: int) -> np.ndarray:
