@@ -14,11 +14,13 @@ full-space coupling is built only for sector "full" and build_hamiltonian.
 Each sector keeps the CSR pattern of H, and every coupling writes its
 entries into a fresh data array on that pattern, bit for bit what scipy's
 sparse arithmetic gave.  Every sector, full space and the single-state
-sector at N = 3 included, goes through one solver: a two-pass Lanczos
-(eigsh here, lowest eigenvalue) without reorthogonalization, updating
-preallocated vectors in place.  Its first pass keeps only the tridiagonal
-coefficients until the lowest Ritz pair converges; its second replays
-them, one matvec per step, to assemble the Ritz vector.  Lanczos
+sector at N = 3 included, goes through one solver: Lanczos (eigsh here,
+lowest eigenvalue) without reorthogonalization, updating preallocated
+vectors in place.  It keeps its vectors in a 2 MiB block, every one of
+them up to N = 100, and sums the Ritz vector from them; past the block
+(N = 200 and 400) it replays the recurrence from the last two kept, one
+matvec per vector, bit for bit.  Convergence checks call LAPACK's
+tridiagonal bisection and inverse iteration directly.  Lanczos
 starts from the coherent state at the mean-field minimizer on the
 sector's rows -- the variational cat on the even sector -- or from the
 uniform vector where that restriction vanishes.  It draws no random
@@ -45,12 +47,13 @@ from itertools import permutations
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import eigh_tridiagonal
+from numpy.linalg import LinAlgError
+from scipy.linalg.lapack import dstebz, dstein
 from scipy.sparse._sparsetools import csr_matvec
 
 from .basis import SymmetricBasis, SymmetricState, _frozen, _moves, expval_tables, shared_basis
 from .errors import EmptySectorError, IntegrityError, check_integer
-from .states import _coherent_amplitudes, dcat, parity_expval
+from .states import _coherent_amplitudes, dcat
 
 __all__ = [
     "DENSE_EIG_LIMIT",
@@ -84,15 +87,21 @@ _RESIDUAL_TOL = 1e-10
 _LANCZOS_TOL = 1e-13
 
 # the tridiagonal is solved every this many steps, at a breakdown and at
-# step dim: a check costs about as much as four steps at N = 50
+# step dim.  At N = 50 a check takes 3 us at 10 steps and 17 us at 60,
+# one step 6 us (timeit); the value also fixes where solves stop, so
+# changing it moves bits
 _LANCZOS_CHECK_EVERY = 10
 
 # a solve that has not converged in this many steps fails; first passes
 # measured at N <= 2000 took at most 261
 _LANCZOS_MAX_STEPS = 2000
 
-# seed of the generator handed to eigsh with the start vector; the
-# two-pass Lanczos never draws from it, so rows depend only on (N, lam, eps)
+# eigsh keeps as many Lanczos vectors as fit in this many float64s (2 MiB)
+# and replays the rest from the last two kept
+_KRYLOV_STORE_FLOATS = 2**18
+
+# seed of the generator handed to eigsh with the start vector; eigsh
+# never draws from it, so rows depend only on (N, lam, eps)
 _RESTART_SEED = 0
 
 _SECTOR_FORMS = "sector must be 'even', 'full' or a pair of 0/1 parities for levels 2 and 3"
@@ -203,28 +212,48 @@ class _NoConvergence(Exception):
     """Lanczos reached _LANCZOS_MAX_STEPS; ground_state names where."""
 
 
-def eigsh(ham, *, k=1, which="SA", v0, rng=None):
-    """Lowest eigenpair of the real symmetric `ham` by two-pass Lanczos,
-    in scipy's eigsh shape: eigenvalues (1,) and eigenvectors (dim, 1).
+def _lowest_ritz(alphas, off):
+    """Lowest eigenpair (theta (1,), y (m, 1)) of the tridiagonal with
+    diagonal alphas and off-diagonal off, by the dstebz and dstein calls
+    eigh_tridiagonal(select="i", select_range=(0, 0)) makes, bit for bit,
+    without its checks: eigsh has checked the coefficients are finite.
+    f2py wants one off-diagonal entry for a 1x1, which LAPACK never reads."""
+    m, w, iblock, isplit, info = dstebz(alphas, off, 2, 0.0, 1.0, 1, 1, 0.0, "B")
+    if not info:
+        y, info = dstein(alphas, off, w[:m], iblock, isplit)
+    if info:
+        raise LinAlgError(f"LAPACK tridiagonal eigensolver failed (info={info})")
+    return w[:m], y
 
-    Both passes run the three-term recurrence without reorthogonalization
-    on four preallocated vectors, with in-place updates and numpy's
-    pairwise sums rather than BLAS ddot, whose threaded split reorders
-    them with the BLAS thread count.  The first pass keeps only alpha_k =
-    q_k.H q_k and beta_k, and every _LANCZOS_CHECK_EVERY steps takes the
-    lowest pair (theta, y) of the tridiagonal T; it stops once |beta_m
-    y_m| <= _LANCZOS_TOL ||T||, with ||T|| bounded by Gershgorin.  A
-    vanishing beta (the start spans an invariant subspace, as the cat
+
+def eigsh(ham, *, k=1, which="SA", v0, rng=None):
+    """Lowest eigenpair of the real symmetric `ham` by Lanczos, in scipy's
+    eigsh shape: eigenvalues (1,) and eigenvectors (dim, 1).
+
+    The three-term recurrence runs without reorthogonalization, with
+    in-place updates and numpy's pairwise sums rather than BLAS ddot, whose
+    threaded split reorders them with the BLAS thread count.  It keeps
+    alpha_k = q_k.H q_k and beta_k, and every _LANCZOS_CHECK_EVERY steps
+    takes the lowest pair (theta, y) of the tridiagonal T; it stops once
+    |beta_m y_m| <= _LANCZOS_TOL ||T||, with ||T|| bounded by Gershgorin.
+    A vanishing beta (the start spans an invariant subspace, as the cat
     start |N,0,0> at lam = 0 or a one-state sector) gives an exact Ritz
-    pair.  The second pass replays the stored alpha and beta, one matvec
-    and the vector updates per step, and sums the Ritz vector: the same
-    operations in the same order rebuild every q_k bit for bit, and only
-    a few vectors are held, not a Krylov basis.  Orthogonality is lost
+    pair.  The Ritz vector sums the Lanczos vectors kept in a block of
+    _KRYLOV_STORE_FLOATS (2 MiB), as many as fit; a vector past it is
+    rebuilt by replaying the recurrence from the two before it with the
+    stored alpha and beta, the same operations in the same order, so it
+    is the same bit for bit.  On the default grid nothing is replayed up
+    to N = 100 (sector dim 1326, at most 90 steps); N = 200 keeps 50
+    vectors of 90 at the median, N = 400 12 of 120.  Orthogonality is lost
     only as Ritz values converge (Paige 1972), so the lowest pair stays
-    reliable without reorthogonalization.  `ham` is taken as a float64
-    CSR matrix (one already is used as it is) and must match v0, since the
-    product kernel checks no bounds.  `rng` keeps eigsh's call shape; no
-    restart vector is ever drawn from it.
+    reliable without reorthogonalization.
+
+    `ham` is taken as a float64 CSR matrix (one already is used as it is)
+    and must match v0, since the product kernel checks no bounds.  A zero
+    or non-finite v0, or a NaN or infinite alpha or beta (from a non-finite
+    ham), raises ValueError; LAPACK failing on the tridiagonal raises
+    LinAlgError.  `rng` keeps eigsh's call shape; no restart vector is
+    ever drawn from it.
     """
     if k != 1 or which != "SA":
         raise ValueError("only the lowest eigenpair (k=1, which='SA') is computed")
@@ -233,6 +262,9 @@ def eigsh(ham, *, k=1, which="SA", v0, rng=None):
     dim = v0.size
     if ham.shape != (dim, dim) or v0.shape != (dim,):
         raise ValueError(f"need a square ham matching v0, got {ham.shape} and {v0.shape}")
+    norm = math.sqrt(np.add.reduce(v0 * v0))
+    if not 0.0 < norm < math.inf:
+        raise ValueError(f"v0 must be finite and nonzero, got norm {norm!r}")
     csr = (dim, dim, ham.indptr, ham.indices, ham.data)
 
     def matvec(x, out):
@@ -241,49 +273,62 @@ def eigsh(ham, *, k=1, which="SA", v0, rng=None):
         out.fill(0.0)
         csr_matvec(*csr, x, out)
 
-    q, prev, w, tmp = v0 / math.sqrt((v0 * v0).sum()), np.zeros(dim), np.empty(dim), np.empty(dim)
-    alphas, betas, norm_t = [], [0.0], 0.0
+    cap = max(2, min(_LANCZOS_MAX_STEPS, _KRYLOV_STORE_FLOATS // dim))
+    store, spare = np.empty((cap, dim)), np.empty((2, dim))
+
+    def lanczos_vector(step):
+        # q_step: stored while it fits, else one of two rotating vectors
+        return store[step] if step < cap else spare[step % 2]
+
+    w, tmp = np.empty(dim), np.empty(dim)
+    alphas, betas = np.empty(_LANCZOS_MAX_STEPS), np.zeros(_LANCZOS_MAX_STEPS + 1)
+    np.divide(v0, norm, out=store[0])
+    steps, beta, norm_t = 0, 0.0, 0.0
     while True:
+        q = lanczos_vector(steps)
         matvec(q, w)
-        np.multiply(prev, betas[-1], out=tmp)
-        w -= tmp
+        if steps:  # q_{-1} = 0 would subtract +0.0, which changes no bit
+            np.multiply(lanczos_vector(steps - 1), beta, out=tmp)
+            w -= tmp
         np.multiply(q, w, out=tmp)
-        alpha = float(tmp.sum())
+        alpha = float(np.add.reduce(tmp))
         np.multiply(q, alpha, out=tmp)
         w -= tmp
         np.multiply(w, w, out=tmp)
-        beta = math.sqrt(tmp.sum())
-        norm_t = max(norm_t, abs(alpha) + betas[-1] + beta)
-        alphas.append(alpha)
-        betas.append(beta)
-        steps = len(alphas)
+        beta_next = math.sqrt(np.add.reduce(tmp))
+        if not (math.isfinite(alpha) and math.isfinite(beta_next)):
+            raise ValueError(
+                f"Lanczos step {steps + 1} gave alpha {alpha!r}, beta {beta_next!r}: ham is not finite"
+            )
+        norm_t = max(norm_t, abs(alpha) + beta + beta_next)
+        alphas[steps], betas[steps + 1] = alpha, beta_next
+        steps, beta = steps + 1, beta_next
         tol = _LANCZOS_TOL * norm_t
         # in exact arithmetic the Krylov space is complete at step dim
         check = steps % _LANCZOS_CHECK_EVERY == 0 or steps in (dim, _LANCZOS_MAX_STEPS)
-        if check or not beta > tol:  # a NaN beta is checked too
-            theta, y = eigh_tridiagonal(alphas, betas[1:-1], select="i", select_range=(0, 0))
+        if check or not beta > tol:
+            theta, y = _lowest_ritz(alphas[:steps], betas[1 : max(steps, 2)])
             estimate = beta * abs(y[-1, 0])
             if estimate <= tol:
                 break
             if steps >= _LANCZOS_MAX_STEPS:
                 raise _NoConvergence(f"{steps} Lanczos steps left residual estimate {estimate:.3e}")
-        np.divide(w, beta, out=prev)
-        prev, q = q, prev
-    q = v0 / math.sqrt((v0 * v0).sum())
-    prev.fill(0.0)
+        np.divide(w, beta, out=lanczos_vector(steps))
     vec = np.zeros(dim)
     for step, coeff in enumerate(y[:, 0]):
-        if step:
-            matvec(q, w)
-            np.multiply(prev, betas[step - 1], out=tmp)
+        q = lanczos_vector(step)
+        if step >= cap:  # past the store: replay the step that made q
+            matvec(lanczos_vector(step - 1), w)
+            np.multiply(lanczos_vector(step - 2), betas[step - 1], out=tmp)
             w -= tmp
-            np.multiply(q, alphas[step - 1], out=tmp)
+            np.multiply(lanczos_vector(step - 1), alphas[step - 1], out=tmp)
             w -= tmp
-            np.divide(w, betas[step], out=prev)
-            prev, q = q, prev
+            np.divide(w, betas[step], out=q)
         np.multiply(q, coeff, out=tmp)
         vec += tmp
-    return theta, (vec / math.sqrt((vec * vec).sum()))[:, None]
+    np.multiply(vec, vec, out=tmp)
+    vec /= math.sqrt(np.add.reduce(tmp))
+    return theta, vec[:, None]
 
 
 def build_hamiltonian(basis: SymmetricBasis, params: LmgParams) -> sp.csr_matrix:
@@ -356,10 +401,15 @@ def ground_state(params: LmgParams, sector="even") -> GroundStateResult:
     pivot = int(np.argmax(np.abs(full)))
     if full[pivot].real < 0:
         np.negative(full, out=full)
+    # <Pi_j> = sum over the solved rows of (-1)^(n_j) |c|^2
+    weights = vec * vec
+    if key == "full":  # a sign per row
+        odd = (rows.rows % 2 == 1).T
+        signature = np.array([np.add.reduce(np.where(o, -weights, weights)) for o in odd])
+    else:  # one sign for the whole sector, read off its first row
+        total = np.add.reduce(weights)
+        signature = np.where(rows.rows[0] % 2 == 1, -total, total)
     state = SymmetricState(basis, _frozen(full))
-    signature = np.array(
-        [parity_expval(state, j) for j in range(1, basis.n_levels + 1)]
-    )
     return GroundStateResult(energy=energy, state=state, parity_signature=signature)
 
 
