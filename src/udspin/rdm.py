@@ -113,8 +113,8 @@ def dscs_level_weights(n_particles: int, x: float, y: float) -> np.ndarray:
 
 
 def one_qudit_rdm_from_tables(S: np.ndarray, n_particles: int) -> np.ndarray:
-    """rho1[i, j] = <S_ji>/N from a first-moment table."""
-    return np.asarray(S, dtype=np.complex128).T / n_particles
+    """rho1[i, j] = <S_ji>/N from a first-moment table, or a stack of them."""
+    return np.asarray(S, dtype=np.complex128).swapaxes(-1, -2) / n_particles
 
 
 def one_qudit_rdm(state: SymmetricState) -> np.ndarray:
@@ -122,14 +122,16 @@ def one_qudit_rdm(state: SymmetricState) -> np.ndarray:
 
 
 def two_qudit_rdm_from_tables(S: np.ndarray, Q: np.ndarray, n_particles: int) -> np.ndarray:
-    """rho2 from moment tables; composite index (i-1) D + (k-1), hermitized."""
+    """rho2 from moment tables, or stacks of them; composite index
+    (i-1) D + (k-1), hermitized."""
     n = check_integer(n_particles, 2, None, "n_particles of a two-particle reduction")
     S = np.asarray(S, dtype=np.complex128)
     Q = np.asarray(Q, dtype=np.complex128)
-    d = S.shape[0]
-    delta = np.einsum("il,jk->ikjl", np.eye(d), S)
-    rho = ((Q.transpose(1, 3, 0, 2) - delta) / (n * (n - 1))).reshape(d * d, d * d)
-    return 0.5 * (rho + rho.conj().T)
+    d = S.shape[-1]
+    delta = np.einsum("il,...jk->...ikjl", np.eye(d), S)
+    rho = (np.einsum("...jilk->...ikjl", Q) - delta) / (n * (n - 1))
+    rho = rho.reshape(S.shape[:-2] + (d * d, d * d))
+    return 0.5 * (rho + rho.conj().swapaxes(-1, -2))
 
 
 def two_qudit_rdm(state: SymmetricState) -> np.ndarray:

@@ -49,7 +49,7 @@ from .states import (
     nodon,
     project_even,
 )
-from .sweep import SweepConfig, render_records, run_sweep
+from .sweep import SurfaceConfig, SweepConfig, render_records, run_sweep, surface_table
 
 __all__ = ["CHECKS", "run_selftest"]
 
@@ -91,6 +91,25 @@ def _check_operator_algebra() -> None:
     assert abs(total - 5 * (5 + 3 - 1)) < 1e-10, total
 
 
+def _check_surface_vs_states(kind: str, state_of, n: int) -> None:
+    """A 2x2 surface of each moment observable, evaluated in one batched
+    closed-form pass, against the state vector built at every node."""
+    basis = SymmetricBasis(n, 3)
+    direct_of = {
+        "one_atom": lambda state: entropies(one_qudit_rdm(state), "one_atom", n, 3).linear,
+        "two_atom": lambda state: entropies(two_qudit_rdm(state), "two_atom", n, 3).linear,
+        "squeezing_total": xi_total,
+    }
+    for observable, direct in direct_of.items():
+        config = SurfaceConfig(
+            n_particles=n, kind=kind, observable=observable,
+            a_min=0.3, a_max=1.1, a_count=2, b_min=0.2, b_max=0.9, b_count=2,
+        )
+        for a, b, value in surface_table(config):
+            want = direct(state_of(basis, (1.0, a, b)))
+            assert abs(value - want) < 1e-11, (kind, observable, a, b, value, want)
+
+
 def _check_coherent_moments() -> None:
     basis = SymmetricBasis(8, 3)
     z = (1.0, 0.6 - 0.3j, 0.2 + 0.5j)
@@ -101,6 +120,7 @@ def _check_coherent_moments() -> None:
             direct = expval_sij(state, i, j)
             entry = closed[_levels0(3, i, j)]
             assert abs(entry - direct) < 1e-11, (i, j, entry, direct)
+    _check_surface_vs_states("dscs", dscs, 8)
 
 
 def _check_cat_moments() -> None:
@@ -112,6 +132,7 @@ def _check_cat_moments() -> None:
         entry = closed[_levels0(3, *indices)]
         direct = expval_sij_skl(cat, *indices)
         assert abs(entry - direct) < 1e-11, (indices, entry, direct)
+    _check_surface_vs_states("dcat", dcat, 7)
 
 
 def _check_nodon_values() -> None:

@@ -27,6 +27,8 @@ forms, which assume the representative normalization z_1 = 1.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .basis import RowSet, SymmetricBasis, SymmetricState, _frozen, _levels0
@@ -52,24 +54,34 @@ __all__ = [
 ]
 
 
-def _as_orbital(z, n_levels: int | None = None) -> np.ndarray:
-    z = np.asarray(z, dtype=np.complex128).ravel()
-    if n_levels is not None and z.size != n_levels:
-        raise ValueError(f"orbital has {z.size} components, expected {n_levels}")
-    if z.size < 2:
+def _as_orbitals(z, n_levels: int | None = None) -> np.ndarray:
+    """A stack of orbitals, components along the last axis, each checked."""
+    z = np.atleast_1d(np.asarray(z, dtype=np.complex128))
+    size = z.shape[-1]
+    if n_levels is not None and size != n_levels:
+        raise ValueError(f"orbital has {size} components, expected {n_levels}")
+    if size < 2:
         raise ValueError("orbital needs at least two components")
     if not np.isfinite(z).all():
         raise ValueError("orbital components must be finite")
-    if np.vdot(z, z).real == 0.0:
+    if (np.add.reduce(np.abs(z) ** 2, axis=-1) == 0.0).any():
         raise ValueError("orbital must be nonzero")
     return z
 
 
+def _as_orbital(z, n_levels: int | None = None) -> np.ndarray:
+    return _as_orbitals(np.ravel(z), n_levels)
+
+
 def representative(z, level: int = 1) -> np.ndarray:
-    """Rescale z so the given level (default 1) has amplitude exactly 1."""
-    z = _as_orbital(z)
-    pivot = z[_levels0(z.size, level)]
-    if pivot == 0:
+    """Rescale z so the given level (default 1) has amplitude exactly 1.
+
+    z may be a stack of orbitals (..., D); each is rescaled.
+    """
+    z = _as_orbitals(z)
+    (k0,) = _levels0(z.shape[-1], level)
+    pivot = z[..., k0 : k0 + 1]
+    if (pivot == 0).any():
         raise ValueError(f"level-{level} amplitude is zero, cannot rescale")
     return z / pivot
 
@@ -87,10 +99,12 @@ def _coherent_amplitudes(rows: RowSet, z: np.ndarray) -> np.ndarray:
     logz[finite] = np.log(z[finite])
     w = rows.floats @ logz
     log_amp = rows.half_log_mult + w.real - 0.5 * rows.n_particles * np.log(norm2)
-    coeffs = np.exp(log_amp + 1j * w.imag)
-    if not finite.all():
-        dead = (rows.rows[:, ~finite] > 0).any(axis=1)
-        coeffs[dead] = 0.0
+    if finite.all():
+        return np.exp(log_amp + 1j * w.imag)
+    # a dead row's log_amp counts log 0 as 0 and can overflow exp: skip it
+    live = ~(rows.rows[:, ~finite] > 0).any(axis=1)
+    coeffs = np.zeros(w.shape, dtype=np.complex128)
+    coeffs[live] = np.exp(log_amp[live] + 1j * w.imag[live])
     return coeffs
 
 
@@ -127,12 +141,15 @@ def dscs_expval_tables(z, n_particles: int):
 
     With P = z* z^T / |z|^2: S = N P and
     Q[i, j, k, l] = N P_il delta_jk + N (N - 1) P_il P_kj.
+    A stack of orbitals (..., D) gives stacked tables (..., D, D) and
+    (..., D, D, D, D).
     """
-    z = _as_orbital(z)
+    z = _as_orbitals(z)
     n = check_integer(n_particles, 1, None, "n_particles")
-    P = np.outer(np.conj(z), z) / np.vdot(z, z).real
-    Q = n * np.einsum("il,jk->ijkl", P, np.eye(z.size))
-    Q += n * (n - 1) * np.einsum("il,kj->ijkl", P, P)
+    norm2 = np.add.reduce(np.abs(z) ** 2, axis=-1)[..., None, None]
+    P = np.conj(z)[..., :, None] * z[..., None, :] / norm2
+    Q = n * np.einsum("...il,jk->...ijkl", P, np.eye(z.shape[-1]))
+    Q += n * (n - 1) * np.einsum("...il,...kj->...ijkl", P, P)
     return n * P, Q
 
 
@@ -183,26 +200,49 @@ def project_odd(state: SymmetricState):
 # even cat states
 
 
-def _parity_signs(n_levels: int) -> np.ndarray:
-    """(2**(D-1), D) table of sign patterns; column 1 is always +1."""
+def _all_equal(d: int) -> np.ndarray:
+    """(D, D, D, D) mask of the index tuples with i = j = k = l."""
+    eye = np.eye(d)
+    return np.einsum("ij,jk,kl->ijkl", eye, eye, eye)
+
+
+@lru_cache(maxsize=None)
+def _cat_constants(n_levels: int):
+    """The constants of the even cat state of D levels, built once per D.
+
+    Returns the (2**(D-1), D) sign patterns s_b, whose column 1 is always
+    +1; their products s_bi s_bk laid out (D, D, 2**(D-1)); and the
+    (D, D, D, D) pairing mask p_ijkl of dcat_expval_tables.
+    """
     m = n_levels - 1
     bits = (np.arange(2**m)[:, None] >> np.arange(m)[None, :]) & 1
-    return np.hstack([np.ones((2**m, 1)), 1.0 - 2.0 * bits])
+    signs = np.hstack([np.ones((2**m, 1)), 1.0 - 2.0 * bits])
+    sign_pairs = signs.T[:, None, :] * signs.T[None, :, :]
+    eye = np.eye(n_levels)
+    pairs = (
+        np.einsum("ij,kl->ijkl", eye, eye)
+        + np.einsum("ik,jl->ijkl", eye, eye)
+        + np.einsum("il,jk->ijkl", eye, eye)
+        - 2.0 * _all_equal(n_levels)
+    )
+    for table in (signs, sign_pairs, pairs):
+        table.flags.writeable = False
+    return signs, sign_pairs, pairs
 
 
-def _cat_weights(z: np.ndarray):
-    """Normalized overlaps u_b = (z^b . z)/|z|^2 in [-1, 1] for all sign patterns."""
-    x = np.abs(z) ** 2
-    signs = _parity_signs(z.size)
-    return (signs @ x) / x.sum(), signs
+def _cat_weights(x: np.ndarray) -> np.ndarray:
+    """Normalized overlaps u_b = (z^b . z)/|z|^2 in [-1, 1] from the squared
+    moduli x = |z|^2, one per sign pattern along the last axis; x may be a
+    stack."""
+    signs = _cat_constants(x.shape[-1])[0]
+    return np.add.reduce(x[..., None, :] * signs, axis=-1) / np.add.reduce(x, axis=-1)[..., None]
 
 
 def dcat_norm_squared(z, n_particles: int) -> float:
     """Squared norm of the even projection of |z>: 2^(1-D) sum_b u_b^N."""
     n = check_integer(n_particles, 1, None, "n_particles")
     z = _as_orbital(z)
-    u, _ = _cat_weights(z)
-    return float(2.0 ** (1 - z.size) * np.sum(u**n))
+    return float(2.0 ** (1 - z.size) * np.sum(_cat_weights(np.abs(z) ** 2) ** n))
 
 
 def dcat(basis: SymmetricBasis, z) -> SymmetricState:
@@ -228,12 +268,6 @@ def dcat(basis: SymmetricBasis, z) -> SymmetricState:
     return SymmetricState(basis, _frozen(coeffs))
 
 
-def _all_equal(d: int) -> np.ndarray:
-    """(D, D, D, D) mask of the index tuples with i = j = k = l."""
-    eye = np.eye(d)
-    return np.einsum("ij,jk,kl->ijkl", eye, eye, eye)
-
-
 def dcat_expval_tables(z, n_particles: int):
     """Closed-form (S, Q) moment tables for the even cat state.
 
@@ -247,32 +281,30 @@ def dcat_expval_tables(z, n_particles: int):
 
     where the pairing weight p_ijkl in {0, 1} is nonzero only when the
     indices pair up, (i=j, k=l), (i=k, j=l) or (i=l, j=k), as the even
-    sector requires.
+    sector requires.  A stack of orbitals (..., D) gives stacked tables
+    (..., D, D) and (..., D, D, D, D).
     """
     n = check_integer(n_particles, 1, None, "n_particles")
     z = representative(z)
-    d = z.size
-    u, signs = _cat_weights(z)
-    den = float(np.sum(u**n))
-    if den <= 0.0:
+    d = z.shape[-1]
+    signs, sign_pairs, pairs = _cat_constants(d)
+    x = np.abs(z) ** 2
+    u = _cat_weights(x)
+    den = np.add.reduce(u**n, axis=-1)
+    if (den <= 0.0).any():
         raise EmptySectorError("even-parity projection annihilated the state")
-    norm2 = float(np.sum(np.abs(z) ** 2))
+    norm2 = np.add.reduce(x, axis=-1)[..., None]
     zc = np.conj(z)
-    eye = np.eye(d)
-    w1 = signs.T @ u ** (n - 1)
-    S = np.diag(n * np.abs(z) ** 2 * w1 / (norm2 * den)).astype(np.complex128)
-    inner = np.einsum("jk,i->ijk", eye, w1 / norm2).astype(np.complex128)
+    w1 = np.add.reduce(signs.T * (u ** (n - 1))[..., None, :], axis=-1)
+    S = np.zeros(z.shape + (d,), dtype=np.complex128)
+    S[..., range(d), range(d)] = n * x * w1 / (norm2 * den[..., None])
+    inner = np.einsum("jk,...i->...ijk", np.eye(d), w1 / norm2).astype(np.complex128)
     if n >= 2:
-        w2 = (signs * u[:, None] ** (n - 2)).T @ signs
-        inner += (n - 1) * np.einsum("ik,j,k->ijk", w2, z, zc) / norm2**2
-    pairs = (
-        np.einsum("ij,kl->ijkl", eye, eye)
-        + np.einsum("ik,jl->ijkl", eye, eye)
-        + np.einsum("il,jk->ijkl", eye, eye)
-        - 2.0 * _all_equal(d)
-    )
-    Q = n * pairs * np.einsum("i,l,ijk->ijkl", zc, z, inner) / den
-    return S, Q
+        w2 = np.add.reduce(sign_pairs * (u ** (n - 2))[..., None, None, :], axis=-1)
+        pair_term = np.einsum("...ik,...j,...k->...ijk", w2, z, zc)
+        inner += (n - 1) * pair_term / norm2[..., None, None] ** 2
+    Q = n * pairs * np.einsum("...i,...l,...ijk->...ijkl", zc, z, inner)
+    return S, Q / den[..., None, None, None, None]
 
 
 def dcat_expval_sij(z, n_particles: int, i: int, j: int) -> complex:

@@ -46,7 +46,7 @@ from .rdm import (
     two_qudit_rdm_from_tables,
 )
 from .squeezing import squeezing_report_from_tables
-from .states import dcat, dscs
+from .states import dcat, dcat_expval_tables, dscs_expval_tables
 
 __all__ = [
     "SWEEP_SOURCES",
@@ -427,28 +427,97 @@ class SurfaceConfig:
         return self
 
 
-def _surface_value(config: SurfaceConfig, a: float, b: float) -> float:
-    n = config.n_particles
-    if config.coords == "xy":
-        if a + b == 0.0:
-            return 0.0
-        weights = dscs_level_weights(n, a, b)
-        return spectrum_entropies(weights, "level", n, 3).linear
-    if config.observable == "energy":
+def _spectra(rho: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a stack of Hermitian matrices in one call.  A matrix
+    with a non-finite entry gets a NaN spectrum, which spectrum_entropies
+    rejects at its own node, instead of failing the whole call."""
+    finite = np.isfinite(rho).all(axis=(-2, -1))
+    w = np.linalg.eigvalsh(np.where(finite[..., None, None], rho, 0.0))
+    w[~finite] = np.nan
+    return w
+
+
+#: Nodes per batched closed-form pass.  A pass holds a few (nodes, D^4)
+#: complex arrays at once.  On the 41x41 N = 100 dcat two_atom grid,
+#: surface_table peaks at 11.3 MB of traced allocations in one pass, and the
+#: process's peak RSS rises by about as much; in blocks of 64 it peaks at
+#: 0.56 MB (0.36 MB for a state per node), and its time, 0.05-0.07 s, is
+#: the same as in one pass within run-to-run noise.  Values do not depend
+#: on the block size.
+_SURFACE_BLOCK = 64
+
+
+def _block_nodes(config: SurfaceConfig, a: np.ndarray, b: np.ndarray):
+    """The evaluator node(k, a_k, b_k) of one block of nodes (1-D a, b).
+
+    The moment observables take the closed-form tables of the whole block
+    in one pass and their reduced spectra in one eigvalsh call; dscs level
+    entropies take the binomial closed form.  The energy and the dcat
+    level entropies, which have no parity-projected closed form, go node
+    by node, the latter through the state vector.
+    """
+    n, kind, observable = config.n_particles, config.kind, config.observable
+    if observable in ("one_atom", "two_atom", "squeezing_total"):
+        tables = dscs_expval_tables if kind == "dscs" else dcat_expval_tables
+        S, Q = tables(np.stack([np.ones_like(a), a, b], axis=-1), n)
+        if observable == "squeezing_total":
+            return lambda k, ak, bk: squeezing_report_from_tables(Q[k], n).total
+        if observable == "one_atom":
+            w = _spectra(one_qudit_rdm_from_tables(S, n))
+        else:
+            w = _spectra(two_qudit_rdm_from_tables(S, Q, n))
+        return lambda k, ak, bk: spectrum_entropies(w[k], observable, n, 3).linear
+    if observable == "energy":
         params = LmgParams(n_particles=n, epsilon=config.epsilon, lam=config.lam)
-        return energy_surface(a, b, params)
+        return lambda k, ak, bk: energy_surface(ak, bk, params)
+    level = int(observable[-1])
+    if kind == "dscs":
+
+        def node(k, ak, bk):
+            if config.coords == "xy":
+                x, y = ak, bk
+            else:  # z = (1, a, b): the weight of the level and that of the other two
+                squares = [1.0, ak * ak, bk * bk]
+                x = squares.pop(level - 1)
+                y = squares[0] + squares[1]
+            if x + y == 0.0:
+                return 0.0
+            return spectrum_entropies(dscs_level_weights(n, x, y), "level", n, 3).linear
+
+        return node
     basis = shared_basis(n, 3)
-    z = (1.0, a, b)
-    state = dscs(basis, z) if config.kind == "dscs" else dcat(basis, z)
-    if config.observable.startswith("level_entropy"):
-        level = int(config.observable[-1])
-        return spectrum_entropies(level_populations(state, level), "level", n, 3).linear
-    S, Q = expval_tables(state)
-    if config.observable == "one_atom":
-        return entropies(one_qudit_rdm_from_tables(S, n), "one_atom", n, 3).linear
-    if config.observable == "two_atom":
-        return entropies(two_qudit_rdm_from_tables(S, Q, n), "two_atom", n, 3).linear
-    return squeezing_report_from_tables(Q, n).total
+
+    def node(k, ak, bk):
+        populations = level_populations(dcat(basis, (1.0, ak, bk)), level)
+        return spectrum_entropies(populations, "level", n, 3).linear
+
+    return node
+
+
+def _surface_value(config: SurfaceConfig, a, b) -> np.ndarray:
+    """Observable at the grid nodes (a, b), in the broadcast shape of a and b.
+
+    Nodes are taken in blocks of _SURFACE_BLOCK (see _block_nodes).  Every
+    node's value passes the per-node range checks, and a UdspinError at a
+    node is re-raised as its own class, naming the node.
+    """
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64))
+    a_flat, b_flat = a.ravel(), b.ravel()
+    values = np.empty(a.size)
+    for start in range(0, a.size, _SURFACE_BLOCK):
+        block_a = a_flat[start : start + _SURFACE_BLOCK]
+        block_b = b_flat[start : start + _SURFACE_BLOCK]
+        node = _block_nodes(config, block_a, block_b)
+        for k, (ak, bk) in enumerate(zip(block_a.tolist(), block_b.tolist())):
+            try:
+                values[start + k] = node(k, ak, bk)
+            except UdspinError as exc:
+                where = (
+                    f"N={config.n_particles}, kind={config.kind}, "
+                    f"observable={config.observable}, (a, b)=({ak!r}, {bk!r})"
+                )
+                raise type(exc)(f"{where}: {exc}") from exc
+    return values.reshape(a.shape)
 
 
 def surface_table(config: SurfaceConfig) -> list:
@@ -456,10 +525,12 @@ def surface_table(config: SurfaceConfig) -> list:
     cfg = config.validated()
     a_grid = np.linspace(cfg.a_min, cfg.a_max, cfg.a_count)
     b_grid = np.linspace(cfg.b_min, cfg.b_max, cfg.b_count)
+    shape = (cfg.a_count, cfg.b_count)
+    values = np.broadcast_to(_surface_value(cfg, a_grid[:, None], b_grid[None, :]), shape)
     return [
-        (float(a), float(b), _surface_value(cfg, float(a), float(b)))
-        for a in a_grid
-        for b in b_grid
+        (float(a), float(b), float(values[i, j]))
+        for i, a in enumerate(a_grid)
+        for j, b in enumerate(b_grid)
     ]
 
 
