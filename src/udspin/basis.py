@@ -18,9 +18,9 @@ Level indices are 1-based in every public signature, matching the usual
 physics convention.  Internal storage is 0-based; _levels0 is the one
 place a 1-based level becomes a 0-based position, and every other module
 crosses that boundary through it.
-Occupation vectors are enumerated in descending lexicographic order,
-e.g. for N = 2, D = 3: (2,0,0), (1,1,0), (1,0,1), (0,2,0), (0,1,1),
-(0,0,2).
+Occupation vectors are enumerated by stars and bars (the bar positions
+from itertools.combinations) in descending lexicographic order, e.g. for
+N = 2, D = 3: (2,0,0), (1,1,0), (1,0,1), (0,2,0), (0,1,1), (0,0,2).
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import permutations
+from itertools import chain, combinations, permutations
 
 import numpy as np
 from scipy.linalg.blas import zgemm
@@ -82,16 +82,6 @@ def _levels0(n_levels: int, *levels) -> tuple:
     return tuple(check_integer(i, 1, n_levels, "level index") - 1 for i in levels)
 
 
-def _compositions(total: int, slots: int):
-    # descending lexicographic enumeration of `total` into `slots` parts
-    if slots == 1:
-        yield (total,)
-        return
-    for first in range(total, -1, -1):
-        for rest in _compositions(total - first, slots - 1):
-            yield (first,) + rest
-
-
 def _check_table_bytes(rows: int, n_levels: int, what: str) -> None:
     nbytes = rows * n_levels * 8
     if nbytes > MAX_TABLE_BYTES:
@@ -105,16 +95,21 @@ def enumerate_occupations(n_particles: int, n_levels: int) -> np.ndarray:
     """All occupation vectors for (N, D) as a (dim, D) int64 array.
 
     Rows appear in descending lexicographic order; row r is the
-    occupation of rank r.
+    occupation of rank r.  Stars and bars: bar positions b_1 < ... <
+    b_{D-1} among N + D - 1 slots, in lexicographic order, give n_k =
+    b_k - b_{k-1} - 1 (b_0 = -1, b_D = N + D - 1) in ascending order, so
+    they fill a reversed view; table and bars stay under twice the table.
     """
     dim = dimension(n_particles, n_levels)
     _check_table_bytes(dim, n_levels, f"occupation table for N={n_particles}")
-    out = np.fromiter(
-        (x for occ in _compositions(n_particles, n_levels) for x in occ),
-        dtype=np.int64,
-        count=dim * n_levels,
-    )
-    return out.reshape(dim, n_levels)
+    out = np.empty((dim, n_levels), dtype=np.int64)
+    edges, slots = out[::-1], range(n_particles + n_levels - 1)
+    bars = chain.from_iterable(combinations(slots, n_levels - 1))
+    edges[:, :-1] = np.fromiter(bars, np.int64, dim * (n_levels - 1)).reshape(dim, -1)
+    edges[:, -1] = len(slots)
+    for k in range(n_levels - 1, 0, -1):
+        edges[:, k] -= edges[:, k - 1] + 1
+    return out
 
 
 def _integer_array(values, what: str) -> np.ndarray:
@@ -456,7 +451,9 @@ def expval_tables(state: SymmetricState):
     On one parity sector every S_ij (i != j) leaves the sector, so S =
     diag<n_i> and Q holds only <n_i n_k>, <S_ij S_ji> = <n_i (n_j + 1)>
     and <S_ij^2> (i < j from the sector's moves, <S_ji^2> its conjugate):
-    O(dim) numpy reductions, none through BLAS.  Any other
+    O(dim) numpy sums, but <n_i n_k> is a float64 matmul (BLAS dgemm),
+    whose bytes tests/test_moment_route.py pins across BLAS thread counts
+    at N = 400.  Any other
     state pays D**2 memoized moves scattered into one (D**2, dim) block
     plus one Gram matrix product, instead of D**4 quadratic evaluations.
     """

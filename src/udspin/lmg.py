@@ -11,22 +11,23 @@ restricts there by default, which also picks a deterministic
 representative among the near-degenerate finite-N levels of the broken
 phases.  A parity sector is assembled from its own S_ij^2 moves; the
 full-space coupling is built only for sector "full" and build_hamiltonian.
-Each sector keeps the CSR pattern of H, and every coupling writes its
-entries into a fresh data array on that pattern, bit for bit what scipy's
-sparse arithmetic gave.  Every sector, full space and the single-state
-sector at N = 3 included, goes through one solver: Lanczos (eigsh here,
-lowest eigenvalue) without reorthogonalization, updating preallocated
-vectors in place.  It keeps its vectors in a 2 MiB block, every one of
-them up to N = 100, and sums the Ritz vector from them; past the block
-(N = 200 and 400) it replays the recurrence from the last two kept, one
+Each sector keeps the CSR pattern of H as scipy's sparse subtraction
+lays it out; every coupling writes its entries into a fresh data array
+on it, bit for bit what scipy's arithmetic gives.  Every sector, full
+space and the single-state sector at N = 3 included, goes through one
+solver: Lanczos (eigsh here, lowest eigenvalue) without
+reorthogonalization, updating preallocated vectors in place.  It keeps
+its vectors in a 2 MiB block, every one up to N = 100, and sums the Ritz
+vector from them; past the block (N = 200 and 400) it replays the first
+pass's step with the stored alpha and beta from the last two kept, one
 matvec per vector, bit for bit.  Convergence checks call LAPACK's
-tridiagonal bisection and inverse iteration directly.  Lanczos
-starts from the coherent state at the mean-field minimizer on the
-sector's rows -- the variational cat on the even sector -- or from the
-uniform vector where that restriction vanishes.  It draws no random
-vector and sums with numpy rather than BLAS, so a row depends only on
-(N, lam, eps), not on grid order, workers or BLAS threads.  A solve
-that does not converge within a fixed step cap, or whose pair misses
+tridiagonal bisection and inverse iteration directly.  Lanczos starts
+from the coherent state at the mean-field minimizer on the sector's
+rows -- the variational cat on the even sector -- or from the uniform
+vector where that restriction vanishes.  It draws no random vector and
+sums with numpy rather than BLAS, so a row depends only on (N, lam,
+eps), not on grid order, workers or BLAS threads.  A solve that does not
+converge within a fixed step cap, or whose pair misses
 ||Hv - Ev|| <= 1e-10 (eps + lam), raises IntegrityError naming N, lam
 and the sector.
 
@@ -151,11 +152,9 @@ def _assemble(occupations: np.ndarray, moves):
     return (occupations[:, 2] - occupations[:, 0]).astype(np.float64), coupling
 
 
-@lru_cache(maxsize=16)
 def _workspace(n_particles: int):
-    """Occupation table, splitting vector and full-space coupling, once per
-    N; only sector="full" and build_hamiltonian read it.  It holds the
-    table, not the basis, so a basis shared_basis evicts is freed."""
+    """Occupation table, splitting vector and full-space coupling; only the
+    pattern of sector "full" reads it.  It holds the table, not the basis."""
     occ = shared_basis(n_particles, 3).occupations
     moves = (_moves(occ, i0, j0, 2) for i0, j0 in permutations(range(3), 2))
     return (occ, *_assemble(occ, moves))
@@ -163,27 +162,22 @@ def _workspace(n_particles: int):
 
 @lru_cache(maxsize=64)
 def _pattern(n_particles: int, sector):
-    """CSR pattern of H on a sector (a parity pair, or "full"), as scipy's
-    sp.diags(eps/N diag) - s coupling stores it: the coupling's entries
-    plus, in column order, the diagonal of every row where n_3 != n_1.
-    Returns the read-only (indptr, indices, on_diag, has_diag) that every
-    H of the sector shares, the splitting vector and the coupling's values."""
+    """CSR pattern of H on a sector (a parity pair, or "full"), as scipy
+    lays out sp.diags(diag != 0) - coupling, whose positive entries are the
+    diagonal ones (coupling entries are > 0).  Returns the read-only
+    (indptr, indices, on_diag, has_diag) that every H of the sector shares,
+    the splitting vector and the coupling's values: the one cache per sector."""
     if sector == "full":
         _, diag, coupling = _workspace(n_particles)
     else:
         _, _, diag, coupling = _sector_structure(n_particles, sector)
-    indptr, indices = coupling.indptr, coupling.indices
-    has = diag != 0
-    row = np.repeat(np.arange(diag.size, dtype=indices.dtype), np.diff(indptr))
-    # a row's diagonal goes after its entries left of the diagonal
-    slot = (indptr[:-1] + np.bincount(row[indices < row], minlength=diag.size))[has]
-    grown = np.zeros(indptr.size, dtype=indptr.dtype)
-    np.cumsum(has, out=grown[1:])
+    has_diag = diag != 0
+    probe = sp.diags(has_diag * 1.0) - coupling
     return (
-        _frozen(indptr + grown),
-        _frozen(np.insert(indices, slot, np.flatnonzero(has))),
-        _frozen(np.insert(np.zeros(indices.size, dtype=bool), slot, True)),
-        _frozen(has),
+        _frozen(probe.indptr),
+        _frozen(probe.indices),
+        _frozen(probe.data > 0),
+        _frozen(has_diag),
         diag,
         coupling.data,
     )
@@ -194,18 +188,17 @@ def _hamiltonian(params: LmgParams, sector) -> sp.csr_matrix:
     (scipy.sparse has no dtype for exact Fraction couplings): a fresh data
     array on the sector's shared pattern, with the entries and bits of
     sp.diags(eps/N diag) - s coupling.  That subtraction stores no zero,
-    so entries that are zero (every off-diagonal one at lam = 0) go."""
+    so zero entries (every off-diagonal one at lam = 0) go, as scipy drops them."""
     n = params.n_particles
     indptr, indices, on_diag, has_diag, diag, couplings = _pattern(n, sector)
     data = np.empty(indices.size)
     data[on_diag] = float(params.epsilon) / n * diag[has_diag]
     data[~on_diag] = couplings * (-float(params.lam) / (n * (n - 1)))  # -(s C), bit for bit
-    if not data.all():
-        keep = data != 0
-        kept = np.zeros(indices.size + 1, dtype=indptr.dtype)
-        np.cumsum(keep, out=kept[1:])
-        data, indices, indptr = data[keep], indices[keep], kept[indptr]
-    return sp.csr_matrix((data, indices, indptr), shape=(indptr.size - 1,) * 2)
+    has_zero = not data.all()
+    ham = sp.csr_matrix((data, indices, indptr), shape=(indptr.size - 1,) * 2, copy=has_zero)
+    if has_zero:
+        ham.eliminate_zeros()
+    return ham
 
 
 class _NoConvergence(Exception):
@@ -240,11 +233,11 @@ def eigsh(ham, *, k=1, which="SA", v0, rng=None):
     start |N,0,0> at lam = 0 or a one-state sector) gives an exact Ritz
     pair.  The Ritz vector sums the Lanczos vectors kept in a block of
     _KRYLOV_STORE_FLOATS (2 MiB), as many as fit; a vector past it is
-    rebuilt by replaying the recurrence from the two before it with the
-    stored alpha and beta, the same operations in the same order, so it
-    is the same bit for bit.  On the default grid nothing is replayed up
-    to N = 100 (sector dim 1326, at most 90 steps); N = 200 keeps 50
-    vectors of 90 at the median, N = 400 12 of 120.  Orthogonality is lost
+    rebuilt from the two before it by the first pass's own step routine,
+    given the stored alpha and beta, so it is the same bit for bit.  On
+    the default grid nothing is replayed up to N = 100 (sector dim 1326,
+    at most 90 steps); N = 200 keeps 50 vectors of 90 at the median,
+    N = 400 12 of 120.  Orthogonality is lost
     only as Ritz values converge (Paige 1972), so the lowest pair stays
     reliable without reorthogonalization.
 
@@ -282,18 +275,25 @@ def eigsh(ham, *, k=1, which="SA", v0, rng=None):
 
     w, tmp = np.empty(dim), np.empty(dim)
     alphas, betas = np.empty(_LANCZOS_MAX_STEPS), np.zeros(_LANCZOS_MAX_STEPS + 1)
+
+    def lanczos_step(k, alpha=None):
+        # w = H q_k - beta_k q_{k-1} - alpha_k q_k; the replay passes alpha_k
+        q = lanczos_vector(k)
+        matvec(q, w)
+        if k:  # q_{-1} = 0 would subtract +0.0, which changes no bit
+            np.multiply(lanczos_vector(k - 1), betas[k], out=tmp)
+            np.subtract(w, tmp, out=w)
+        if alpha is None:
+            np.multiply(q, w, out=tmp)
+            alpha = float(np.add.reduce(tmp))
+        np.multiply(q, alpha, out=tmp)
+        np.subtract(w, tmp, out=w)
+        return alpha
+
     np.divide(v0, norm, out=store[0])
     steps, beta, norm_t = 0, 0.0, 0.0
     while True:
-        q = lanczos_vector(steps)
-        matvec(q, w)
-        if steps:  # q_{-1} = 0 would subtract +0.0, which changes no bit
-            np.multiply(lanczos_vector(steps - 1), beta, out=tmp)
-            w -= tmp
-        np.multiply(q, w, out=tmp)
-        alpha = float(np.add.reduce(tmp))
-        np.multiply(q, alpha, out=tmp)
-        w -= tmp
+        alpha = lanczos_step(steps)
         np.multiply(w, w, out=tmp)
         beta_next = math.sqrt(np.add.reduce(tmp))
         if not (math.isfinite(alpha) and math.isfinite(beta_next)):
@@ -318,11 +318,7 @@ def eigsh(ham, *, k=1, which="SA", v0, rng=None):
     for step, coeff in enumerate(y[:, 0]):
         q = lanczos_vector(step)
         if step >= cap:  # past the store: replay the step that made q
-            matvec(lanczos_vector(step - 1), w)
-            np.multiply(lanczos_vector(step - 2), betas[step - 1], out=tmp)
-            w -= tmp
-            np.multiply(lanczos_vector(step - 1), alphas[step - 1], out=tmp)
-            w -= tmp
+            lanczos_step(step - 1, alphas[step - 1])
             np.divide(w, betas[step], out=q)
         np.multiply(q, coeff, out=tmp)
         vec += tmp
@@ -349,7 +345,6 @@ def even_sector_indices(basis: SymmetricBasis) -> np.ndarray:
     return parity_sector_indices(basis, (0,) * (basis.n_levels - 1))
 
 
-@lru_cache(maxsize=64)
 def _sector_structure(n_particles: int, parities):
     """Occupation rows, ranks, splitting vector and coupling of one parity
     sector, from the sector's own moves: the full-space coupling sliced,
@@ -403,12 +398,8 @@ def ground_state(params: LmgParams, sector="even") -> GroundStateResult:
         np.negative(full, out=full)
     # <Pi_j> = sum over the solved rows of (-1)^(n_j) |c|^2
     weights = vec * vec
-    if key == "full":  # a sign per row
-        odd = (rows.rows % 2 == 1).T
-        signature = np.array([np.add.reduce(np.where(o, -weights, weights)) for o in odd])
-    else:  # one sign for the whole sector, read off its first row
-        total = np.add.reduce(weights)
-        signature = np.where(rows.rows[0] % 2 == 1, -total, total)
+    odd = (rows.rows % 2 == 1).T
+    signature = np.array([np.add.reduce(np.where(o, -weights, weights)) for o in odd])
     state = SymmetricState(basis, _frozen(full))
     return GroundStateResult(energy=energy, state=state, parity_signature=signature)
 

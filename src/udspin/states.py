@@ -64,9 +64,19 @@ def _as_orbitals(z, n_levels: int | None = None) -> np.ndarray:
         raise ValueError("orbital needs at least two components")
     if not np.isfinite(z).all():
         raise ValueError("orbital components must be finite")
-    if (np.add.reduce(np.abs(z) ** 2, axis=-1) == 0.0).any():
+    # capped at 1, no square overflows; a squared norm that underflows still fails
+    if (np.add.reduce(np.minimum(np.abs(z), 1.0) ** 2, axis=-1) == 0.0).any():
         raise ValueError("orbital must be nonzero")
     return z
+
+
+def _binary_scaled(z: np.ndarray) -> np.ndarray:
+    """Each orbital of a stack times the power of two that puts its largest
+    modulus in [0.5, 1): exact while no component turns subnormal, so the
+    scale-invariant moment tables keep their bits, and squares of huge
+    components stay finite."""
+    _, exponent = np.frexp(np.abs(z).max(axis=-1, keepdims=True))
+    return z * np.ldexp(1.0, -exponent)
 
 
 def _as_orbital(z, n_levels: int | None = None) -> np.ndarray:
@@ -144,7 +154,7 @@ def dscs_expval_tables(z, n_particles: int):
     A stack of orbitals (..., D) gives stacked tables (..., D, D) and
     (..., D, D, D, D).
     """
-    z = _as_orbitals(z)
+    z = _binary_scaled(_as_orbitals(z))
     n = check_integer(n_particles, 1, None, "n_particles")
     norm2 = np.add.reduce(np.abs(z) ** 2, axis=-1)[..., None, None]
     P = np.conj(z)[..., :, None] * z[..., None, :] / norm2
@@ -285,7 +295,7 @@ def dcat_expval_tables(z, n_particles: int):
     (..., D, D) and (..., D, D, D, D).
     """
     n = check_integer(n_particles, 1, None, "n_particles")
-    z = representative(z)
+    z = _binary_scaled(representative(z))
     d = z.shape[-1]
     signs, sign_pairs, pairs = _cat_constants(d)
     x = np.abs(z) ** 2
