@@ -1,4 +1,8 @@
-"""udspin: exact simulator for symmetric N-particle D-level systems."""
+"""udspin: exact simulator for symmetric N-particle D-level systems.
+
+Importing it loads numpy, not scipy: scipy is imported inside the
+functions that call it, so closed-form work never pays for it.
+"""
 
 from .errors import (
     UdspinError,

@@ -31,8 +31,6 @@ from functools import cached_property, lru_cache
 from itertools import chain, combinations, permutations
 
 import numpy as np
-from scipy.linalg.blas import zgemm
-from scipy.special import gammaln
 
 from .errors import CapacityError, check_integer
 
@@ -202,6 +200,8 @@ class RowSet:
     held, so a cached row set keeps no evicted basis alive."""
 
     def __init__(self, rows: np.ndarray, ranks: np.ndarray, n_particles: int):
+        from scipy.special import gammaln
+
         self.rows, self.ranks, self.n_particles = _frozen(rows), _frozen(ranks), n_particles
         self.floats = _frozen(rows.astype(np.float64))
         log_factorials = gammaln(rows + 1.0).sum(axis=1)
@@ -482,6 +482,8 @@ def expval_tables(state: SymmetricState):
         for j0 in range(d):
             src, dst, amp = basis._transitions0(i0, j0)
             applied[i0 * d + j0, dst] = amp * c[src]
+    from scipy.linalg.blas import zgemm
+
     # gram[p, q] = <S_p psi | S_q psi>; with p = (j, i) this is <S_ij S_q>.
     # zgemm conjugates inside the product (trans_a=2): no conjugated copy
     gram = zgemm(1.0, applied.T, applied.T, trans_a=2)

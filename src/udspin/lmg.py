@@ -26,10 +26,15 @@ from the coherent state at the mean-field minimizer on the sector's
 rows -- the variational cat on the even sector -- or from the uniform
 vector where that restriction vanishes.  It draws no random vector and
 sums with numpy rather than BLAS, so a row depends only on (N, lam,
-eps), not on grid order, workers or BLAS threads.  A solve that does not
-converge within a fixed step cap, or whose pair misses
+eps), not on grid order, workers or BLAS threads.  Importing the module
+loads no scipy: sp is scipy.sparse imported on its first attribute read,
+and the kernels eigsh calls (scipy's CSR product csr_matvec, LAPACK's
+dstebz and dstein) are bound as module attributes on first use and read
+through the module, so a replacement bound there is what runs.  A solve
+that does not converge within a fixed step cap, or whose pair misses
 ||Hv - Ev|| <= 1e-10 (eps + lam), raises IntegrityError naming N, lam
-and the sector.
+and the sector; one whose start or H is not finite raises ValueError
+naming them.
 
 Closed forms implemented alongside the numerics: the mean-field energy
 surface over coherent states (1, alpha, beta), its stationary points,
@@ -42,15 +47,13 @@ propagate through the branch formulas; the Hamiltonian takes them as floats.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
 
 import numpy as np
-import scipy.sparse as sp
 from numpy.linalg import LinAlgError
-from scipy.linalg.lapack import dstebz, dstein
-from scipy.sparse._sparsetools import csr_matvec
 
 from .basis import SymmetricBasis, SymmetricState, _frozen, _moves, expval_tables, shared_basis
 from .errors import EmptySectorError, IntegrityError, check_integer
@@ -106,6 +109,38 @@ _KRYLOV_STORE_FLOATS = 2**18
 _RESTART_SEED = 0
 
 _SECTOR_FORMS = "sector must be 'even', 'full' or a pair of 0/1 parities for levels 2 and 3"
+
+
+class _LazySparse:
+    """scipy.sparse, imported on the first attribute read; a module-level
+    name, so annotations naming sp.csr_matrix resolve (get_type_hints)."""
+
+    def __getattr__(self, name):
+        import scipy.sparse
+
+        return getattr(scipy.sparse, name)
+
+
+sp = _LazySparse()
+
+
+def __getattr__(name):
+    """Bind a kernel of eigsh (csr_matvec, dstebz, dstein) as a module
+    attribute on its first read (PEP 562).  A bare global name skips this
+    hook, so eigsh and _lowest_ritz read the kernels through _MODULE."""
+    if name == "csr_matvec":
+        from scipy.sparse._sparsetools import csr_matvec as kernel
+    elif name in ("dstebz", "dstein"):
+        from scipy.linalg import lapack
+
+        kernel = getattr(lapack, name)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = kernel
+    return kernel
+
+
+_MODULE = sys.modules[__name__]
 
 
 @dataclass(frozen=True)
@@ -211,9 +246,9 @@ def _lowest_ritz(alphas, off):
     eigh_tridiagonal(select="i", select_range=(0, 0)) makes, bit for bit,
     without its checks: eigsh has checked the coefficients are finite.
     f2py wants one off-diagonal entry for a 1x1, which LAPACK never reads."""
-    m, w, iblock, isplit, info = dstebz(alphas, off, 2, 0.0, 1.0, 1, 1, 0.0, "B")
+    m, w, iblock, isplit, info = _MODULE.dstebz(alphas, off, 2, 0.0, 1.0, 1, 1, 0.0, "B")
     if not info:
-        y, info = dstein(alphas, off, w[:m], iblock, isplit)
+        y, info = _MODULE.dstein(alphas, off, w[:m], iblock, isplit)
     if info:
         raise LinAlgError(f"LAPACK tridiagonal eigensolver failed (info={info})")
     return w[:m], y
@@ -247,6 +282,10 @@ def eigsh(ham, *, k=1, which="SA", v0, rng=None):
     ham), raises ValueError; LAPACK failing on the tridiagonal raises
     LinAlgError.  `rng` keeps eigsh's call shape; no restart vector is
     ever drawn from it.
+
+    The kernels are bound on first use (see __getattr__) and read through
+    the module, csr_matvec once per call and dstebz/dstein at each check,
+    so a kernel replaced there is the one that runs.
     """
     if k != 1 or which != "SA":
         raise ValueError("only the lowest eigenpair (k=1, which='SA') is computed")
@@ -259,6 +298,7 @@ def eigsh(ham, *, k=1, which="SA", v0, rng=None):
     if not 0.0 < norm < math.inf:
         raise ValueError(f"v0 must be finite and nonzero, got norm {norm!r}")
     csr = (dim, dim, ham.indptr, ham.indices, ham.data)
+    csr_matvec = _MODULE.csr_matvec  # what is bound there now, once per call
 
     def matvec(x, out):
         # out = ham @ x through the kernel scipy's own product calls, into
@@ -384,6 +424,8 @@ def ground_state(params: LmgParams, sector="even") -> GroundStateResult:
         )
     except _NoConvergence as exc:
         raise IntegrityError(f"eigensolver failed to converge at {where}: {exc}") from exc
+    except ValueError as exc:  # a start or an H that is not finite, or LAPACK failing
+        raise type(exc)(f"eigensolver failed at {where}: {exc}") from exc
     energy, vec = float(eigvals[0]), eigvecs[:, 0]
     misfit = ham @ vec - energy * vec
     residual = math.sqrt((misfit * misfit).sum())  # numpy's sum, not BLAS: see eigsh

@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .basis import (
     SymmetricState,
@@ -103,6 +102,8 @@ def dscs_level_weights(n_particles: int, x: float, y: float) -> np.ndarray:
         out = np.zeros(n + 1)
         out[0] = 1.0
         return out
+    from scipy.special import gammaln
+
     log_binom = gammaln(n + 1) - gammaln(ks + 1) - gammaln(n - ks + 1)
     log_w = log_binom + (n - ks) * math.log(x) + ks * math.log(y) - n * math.log(x + y)
     return np.exp(log_w)
@@ -252,6 +253,8 @@ def partial_trace_oracle(state: SymmetricState, keep: int) -> np.ndarray:
     (particle 0 is the leftmost factor) and traces out all but `keep`
     particles.  Exponential cost: restricted to N <= 8, D <= 3.
     """
+    from scipy.special import gammaln
+
     basis = state.basis
     n, d = basis.n_particles, basis.n_levels
     keep = check_integer(keep, 1, min(2, n), "keep")

@@ -335,6 +335,8 @@ def nodon(basis: SymmetricBasis, phases=None) -> SymmetricState:
     phases = np.asarray(phases, dtype=np.float64).ravel()
     if phases.size != d:
         raise ValueError(f"need {d} phases, got {phases.size}")
+    if not np.isfinite(phases).all():
+        raise ValueError("nodon phases must be finite")
     coeffs = np.zeros(basis.dim, dtype=np.complex128)
     occ = np.zeros(d, dtype=np.int64)
     for j0 in range(d):

@@ -21,7 +21,6 @@ import json
 import math
 import numbers
 from collections.abc import Iterable
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from itertools import repeat
 
@@ -181,12 +180,13 @@ class SweepConfig:
 
 def _sweep_point(config: SweepConfig, lam: float) -> tuple:
     """All records for one coupling, sources in canonical order; a failure
-    is re-raised as its own class, naming N, the coupling and the source."""
+    (a UdspinError or a ValueError) is re-raised as its own class, naming N,
+    the coupling and the source."""
     records = []
     for source in config.sources:
         try:
             records.append(_sweep_record(config, lam, source))
-        except UdspinError as exc:
+        except (UdspinError, ValueError) as exc:
             where = f"N={config.n_particles}, lam={lam!r}, source={source}"
             raise type(exc)(f"{where}: {exc}") from exc
     return tuple(records)
@@ -243,6 +243,8 @@ def run_sweep(config: SweepConfig) -> list:
     """
     cfg = config.validated()
     if cfg.jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # ~18 ms to import: pools only
+
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
             chunks = list(pool.map(_sweep_point, repeat(cfg), cfg.lambdas))
     else:
