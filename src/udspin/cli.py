@@ -18,6 +18,7 @@ the command line, so explicit command-line flags win.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -226,15 +227,19 @@ def _cmd_sweep(args) -> int:
 def _cmd_phase(args) -> int:
     params = LmgParams(n_particles=3, epsilon=args.epsilon, lam=args.lam)
     point = stationary_point(params)
+    try:  # every value before the first line, so a refused coupling prints none
+        energy = float(thermo_energy(params))
+    except OverflowError:  # lam**2 past the float range
+        energy = math.inf
+    critical = (args.epsilon / 2, 1.5 * args.epsilon)
+    if not all(map(math.isfinite, (point.alpha0, point.beta0, energy, *critical))):
+        raise ConfigError(f"--lam {args.lam!r} (--epsilon {args.epsilon!r}) is out of range")
     print(f"coupling lambda = {_fmt(args.lam)} (epsilon = {_fmt(args.epsilon)})")
     print(f"phase: {point.phase}")
     print(f"alpha0 = {_fmt(point.alpha0)}")
     print(f"beta0 = {_fmt(point.beta0)}")
-    print(f"thermodynamic ground energy = {_fmt(float(thermo_energy(params)))}")
-    print(
-        "critical couplings: "
-        f"{_fmt(args.epsilon / 2)} and {_fmt(1.5 * args.epsilon)}"
-    )
+    print(f"thermodynamic ground energy = {_fmt(energy)}")
+    print(f"critical couplings: {_fmt(critical[0])} and {_fmt(critical[1])}")
     return 0
 
 
@@ -362,3 +367,7 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

@@ -6,35 +6,33 @@ The Hamiltonian, in intensive normalization,
 
 couples every pair of atoms symmetrically, so it acts within the
 symmetric sector and commutes with every level parity Pi_j.  The ground
-state lies in the fully even sector (n_2, n_3 both even); diagonalization
-restricts there by default, which also picks a deterministic
-representative among the near-degenerate finite-N levels of the broken
-phases.  A parity sector is assembled from its own S_ij^2 moves; the
-full-space coupling is built only for sector "full" and build_hamiltonian.
-Each sector keeps the CSR pattern of H as scipy's sparse subtraction
-lays it out; every coupling writes its entries into a fresh data array
-on it, bit for bit what scipy's arithmetic gives.  Every sector, full
-space and the single-state sector at N = 3 included, goes through one
-solver: Lanczos (eigsh here, lowest eigenvalue) without
-reorthogonalization, updating preallocated vectors in place.  It keeps
-its vectors in a 2 MiB block, every one up to N = 100, and sums the Ritz
-vector from them; past the block (N = 200 and 400) it replays the first
-pass's step with the stored alpha and beta from the last two kept, one
-matvec per vector, bit for bit.  Convergence checks call LAPACK's
-tridiagonal bisection and inverse iteration directly.  Lanczos starts
-from the coherent state at the mean-field minimizer on the sector's
-rows -- the variational cat on the even sector -- or from the uniform
-vector where that restriction vanishes.  It draws no random vector and
-sums with numpy rather than BLAS, so a row depends only on (N, lam,
-eps), not on grid order, workers or BLAS threads.  Importing the module
-loads no scipy: sp is scipy.sparse imported on its first attribute read,
-and the kernels eigsh calls (scipy's CSR product csr_matvec, LAPACK's
-dstebz and dstein) are bound as module attributes on first use and read
-through the module, so a replacement bound there is what runs.  A solve
-that does not converge within a fixed step cap, or whose pair misses
-||Hv - Ev|| <= 1e-10 (eps + lam), raises IntegrityError naming N, lam
-and the sector; one whose start or H is not finite raises ValueError
-naming them.
+state lies in the fully even sector (n_2, n_3 both even);
+diagonalization restricts there by default, which also picks a
+deterministic representative among the near-degenerate finite-N levels
+of the broken phases.  A parity sector is assembled from its own S_ij^2
+moves; the full-space coupling is built only for sector "full" and
+build_hamiltonian.  Each sector keeps the CSR pattern of H as scipy's
+sparse subtraction lays it out; every coupling writes its entries into a
+fresh data array on it, bit for bit what scipy's arithmetic gives.
+Every sector, full space and the single-state sector at N = 3 included,
+goes through one solver: Lanczos (eigsh here, lowest eigenvalue) without
+reorthogonalization, updating preallocated vectors in place and
+replaying, bit for bit, those that do not fit its 2 MiB block.
+Convergence checks call LAPACK's tridiagonal bisection and inverse
+iteration directly.  Lanczos starts from the coherent state at the
+mean-field minimizer on the sector's rows -- the variational cat on the
+even sector -- or from the uniform vector where that restriction
+vanishes.  It draws no random vector and sums with numpy rather than
+BLAS, so a row depends only on (N, lam, eps), not on grid order, workers
+or BLAS threads.  Importing the module loads no scipy: the functions
+that assemble H or solve import scipy.sparse, and the kernels eigsh
+calls (scipy's CSR product csr_matvec, LAPACK's dstebz and dstein) are
+bound as module attributes on first use and read through the module, so
+a replacement bound there is what runs.  A solve that does not converge
+within a fixed step cap, or whose pair misses ||Hv - Ev|| <= 1e-10
+(eps + lam), raises IntegrityError naming N, lam and the sector; one whose
+start or H is not finite, or whose tridiagonal gives a NaN residual
+estimate, raises ValueError naming them.
 
 Closed forms implemented alongside the numerics: the mean-field energy
 surface over coherent states (1, alpha, beta), its stationary points,
@@ -51,6 +49,7 @@ import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
+from typing import TYPE_CHECKING
 
 import numpy as np
 from numpy.linalg import LinAlgError
@@ -58,6 +57,9 @@ from numpy.linalg import LinAlgError
 from .basis import SymmetricBasis, SymmetricState, _frozen, _moves, expval_tables, shared_basis
 from .errors import EmptySectorError, IntegrityError, check_integer
 from .states import _coherent_amplitudes, dcat
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = [
     "DENSE_EIG_LIMIT",
@@ -104,24 +106,7 @@ _LANCZOS_MAX_STEPS = 2000
 # and replays the rest from the last two kept
 _KRYLOV_STORE_FLOATS = 2**18
 
-# seed of the generator handed to eigsh with the start vector; eigsh
-# never draws from it, so rows depend only on (N, lam, eps)
-_RESTART_SEED = 0
-
 _SECTOR_FORMS = "sector must be 'even', 'full' or a pair of 0/1 parities for levels 2 and 3"
-
-
-class _LazySparse:
-    """scipy.sparse, imported on the first attribute read; a module-level
-    name, so annotations naming sp.csr_matrix resolve (get_type_hints)."""
-
-    def __getattr__(self, name):
-        import scipy.sparse
-
-        return getattr(scipy.sparse, name)
-
-
-sp = _LazySparse()
 
 
 def __getattr__(name):
@@ -181,6 +166,8 @@ def _assemble(occupations: np.ndarray, moves):
     """Splitting vector n_3 - n_1 and coupling sum_{i!=j} S_ij^2 on an
     occupation table, from its S_ij^2 move tables summed one (i, j) pair
     at a time: holds less than one concatenated COO."""
+    import scipy.sparse as sp
+
     coupling = sp.csr_matrix((occupations.shape[0],) * 2)
     for src, dst, amp in moves:
         coupling = coupling + sp.csr_matrix((amp, (dst, src)), shape=coupling.shape)
@@ -202,6 +189,8 @@ def _pattern(n_particles: int, sector):
     diagonal ones (coupling entries are > 0).  Returns the read-only
     (indptr, indices, on_diag, has_diag) that every H of the sector shares,
     the splitting vector and the coupling's values: the one cache per sector."""
+    import scipy.sparse as sp
+
     if sector == "full":
         _, diag, coupling = _workspace(n_particles)
     else:
@@ -224,6 +213,8 @@ def _hamiltonian(params: LmgParams, sector) -> sp.csr_matrix:
     array on the sector's shared pattern, with the entries and bits of
     sp.diags(eps/N diag) - s coupling.  That subtraction stores no zero,
     so zero entries (every off-diagonal one at lam = 0) go, as scipy drops them."""
+    import scipy.sparse as sp
+
     n = params.n_particles
     indptr, indices, on_diag, has_diag, diag, couplings = _pattern(n, sector)
     data = np.empty(indices.size)
@@ -234,10 +225,6 @@ def _hamiltonian(params: LmgParams, sector) -> sp.csr_matrix:
     if has_zero:
         ham.eliminate_zeros()
     return ham
-
-
-class _NoConvergence(Exception):
-    """Lanczos reached _LANCZOS_MAX_STEPS; ground_state names where."""
 
 
 def _lowest_ritz(alphas, off):
@@ -254,7 +241,7 @@ def _lowest_ritz(alphas, off):
     return w[:m], y
 
 
-def eigsh(ham, *, k=1, which="SA", v0, rng=None):
+def eigsh(ham, *, k=1, which="SA", v0):
     """Lowest eigenpair of the real symmetric `ham` by Lanczos, in scipy's
     eigsh shape: eigenvalues (1,) and eigenvectors (dim, 1).
 
@@ -278,15 +265,18 @@ def eigsh(ham, *, k=1, which="SA", v0, rng=None):
 
     `ham` is taken as a float64 CSR matrix (one already is used as it is)
     and must match v0, since the product kernel checks no bounds.  A zero
-    or non-finite v0, or a NaN or infinite alpha or beta (from a non-finite
-    ham), raises ValueError; LAPACK failing on the tridiagonal raises
-    LinAlgError.  `rng` keeps eigsh's call shape; no restart vector is
-    ever drawn from it.
+    or non-finite v0, a NaN or infinite alpha or beta (from a non-finite
+    ham), or a NaN residual estimate (LAPACK's tridiagonal solve overflows
+    on entries past about 1e154) raises ValueError; LAPACK failing on the
+    tridiagonal raises LinAlgError.  A solve still short of convergence
+    after _LANCZOS_MAX_STEPS steps raises IntegrityError.
 
     The kernels are bound on first use (see __getattr__) and read through
     the module, csr_matvec once per call and dstebz/dstein at each check,
     so a kernel replaced there is the one that runs.
     """
+    import scipy.sparse as sp
+
     if k != 1 or which != "SA":
         raise ValueError("only the lowest eigenpair (k=1, which='SA') is computed")
     ham = sp.csr_matrix(ham, dtype=np.float64)  # no copy of a float64 CSR
@@ -299,13 +289,6 @@ def eigsh(ham, *, k=1, which="SA", v0, rng=None):
         raise ValueError(f"v0 must be finite and nonzero, got norm {norm!r}")
     csr = (dim, dim, ham.indptr, ham.indices, ham.data)
     csr_matvec = _MODULE.csr_matvec  # what is bound there now, once per call
-
-    def matvec(x, out):
-        # out = ham @ x through the kernel scipy's own product calls, into
-        # zeros as it does, without its allocation and dispatch
-        out.fill(0.0)
-        csr_matvec(*csr, x, out)
-
     cap = max(2, min(_LANCZOS_MAX_STEPS, _KRYLOV_STORE_FLOATS // dim))
     store, spare = np.empty((cap, dim)), np.empty((2, dim))
 
@@ -317,9 +300,12 @@ def eigsh(ham, *, k=1, which="SA", v0, rng=None):
     alphas, betas = np.empty(_LANCZOS_MAX_STEPS), np.zeros(_LANCZOS_MAX_STEPS + 1)
 
     def lanczos_step(k, alpha=None):
-        # w = H q_k - beta_k q_{k-1} - alpha_k q_k; the replay passes alpha_k
+        # w = H q_k - beta_k q_{k-1} - alpha_k q_k; the replay passes alpha_k.
+        # H q_k goes through the kernel scipy's own product calls, into
+        # zeros as it does, without its allocation and dispatch
         q = lanczos_vector(k)
-        matvec(q, w)
+        w.fill(0.0)
+        csr_matvec(*csr, q, w)
         if k:  # q_{-1} = 0 would subtract +0.0, which changes no bit
             np.multiply(lanczos_vector(k - 1), betas[k], out=tmp)
             np.subtract(w, tmp, out=w)
@@ -351,8 +337,12 @@ def eigsh(ham, *, k=1, which="SA", v0, rng=None):
             estimate = beta * abs(y[-1, 0])
             if estimate <= tol:
                 break
+            if math.isnan(estimate):  # LAPACK's tridiagonal solve overflowed
+                raise ValueError(f"Lanczos step {steps}: residual estimate nan, ham too large")
             if steps >= _LANCZOS_MAX_STEPS:
-                raise _NoConvergence(f"{steps} Lanczos steps left residual estimate {estimate:.3e}")
+                raise IntegrityError(
+                    f"{steps} Lanczos steps failed to converge, residual estimate {estimate:.3e}"
+                )
         np.divide(w, beta, out=lanczos_vector(steps))
     vec = np.zeros(dim)
     for step, coeff in enumerate(y[:, 0]):
@@ -419,12 +409,8 @@ def ground_state(params: LmgParams, sector="even") -> GroundStateResult:
     if not v0.any():
         v0 = np.full(rows.ranks.size, 1.0 / math.sqrt(rows.ranks.size))
     try:
-        eigvals, eigvecs = eigsh(
-            ham, k=1, which="SA", v0=v0, rng=np.random.default_rng(_RESTART_SEED)
-        )
-    except _NoConvergence as exc:
-        raise IntegrityError(f"eigensolver failed to converge at {where}: {exc}") from exc
-    except ValueError as exc:  # a start or an H that is not finite, or LAPACK failing
+        eigvals, eigvecs = eigsh(ham, k=1, which="SA", v0=v0)
+    except (IntegrityError, ValueError) as exc:  # no convergence, values out of range, LAPACK
         raise type(exc)(f"eigensolver failed at {where}: {exc}") from exc
     energy, vec = float(eigvals[0]), eigvecs[:, 0]
     misfit = ham @ vec - energy * vec

@@ -109,8 +109,6 @@ def _coherent_amplitudes(rows: RowSet, z: np.ndarray) -> np.ndarray:
     logz[finite] = np.log(z[finite])
     w = rows.floats @ logz
     log_amp = rows.half_log_mult + w.real - 0.5 * rows.n_particles * np.log(norm2)
-    if finite.all():
-        return np.exp(log_amp + 1j * w.imag)
     # a dead row's log_amp counts log 0 as 0 and can overflow exp: skip it
     live = ~(rows.rows[:, ~finite] > 0).any(axis=1)
     coeffs = np.zeros(w.shape, dtype=np.complex128)
