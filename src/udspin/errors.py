@@ -5,6 +5,8 @@ import math
 import numbers
 import sys
 
+import numpy as np
+
 
 class UdspinError(Exception):
     """Base class for package-specific failures."""
@@ -49,6 +51,16 @@ def check_range(value, kind, what: str, tol: float = 0.0) -> float:
     if not math.isfinite(value):
         raise IntegrityError(f"{what}: non-finite value {value!r}")
     raise IntegrityError(f"{what}: {value!r} outside {shown} beyond tolerance {tol}")
+
+
+def check_ranges(values, kind, what: str, tol: float = 0.0):
+    """check_range elementwise, as a ufunc: the values come back snapped, or
+    the first out of range (row-major) raises."""
+    lo, hi, _ = _RANGES[kind]
+    bad = ~((lo - tol <= values) & (values <= hi + tol))
+    if bad.any():
+        check_range(values[bad][0], kind, what, tol)
+    return np.clip(values, lo, hi)
 
 
 def check_integer(value, lo: int, hi: int | None, what: str, error=ValueError) -> int:

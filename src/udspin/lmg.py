@@ -55,8 +55,8 @@ import numpy as np
 from numpy.linalg import LinAlgError
 
 from .basis import SymmetricBasis, SymmetricState, _frozen, _moves, expval_tables, shared_basis
-from .errors import EmptySectorError, IntegrityError, check_integer
-from .states import _coherent_amplitudes, dcat
+from .errors import EmptySectorError, IntegrityError, check_integer, check_ranges
+from .states import _binary_scaled, _coherent_amplitudes, dcat
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -432,19 +432,18 @@ def ground_state(params: LmgParams, sector="even") -> GroundStateResult:
     return GroundStateResult(energy=energy, state=state, parity_signature=signature)
 
 
-def energy_surface(alpha, beta, params: LmgParams) -> float:
-    """Mean-field energy over coherent states (1, alpha, beta), exact form."""
-    a = complex(alpha)
-    b = complex(beta)
-    eps, lam = params.epsilon, params.lam
-    s = (a * a.conjugate() + b * b.conjugate() + 1.0).real
-    quad = (
-        a * a * (b.conjugate() ** 2 + 1.0)
-        + (b * b + 1.0) * a.conjugate() ** 2
-        + b.conjugate() ** 2
-        + b * b
-    )
-    return float(eps * ((b * b.conjugate()).real - 1.0) / s - lam * quad.real / s**2)
+def energy_surface(alpha, beta, params: LmgParams):
+    """Mean-field energy over coherent states (1, alpha, beta), exact form;
+    arrays broadcast, as in a ufunc.  The orbital is first
+    scaled by a power of two, c in place of 1, so no square overflows and,
+    the form being of degree 0, no bit changes."""
+    z = np.stack(np.broadcast_arrays(1.0, alpha, beta), axis=-1).astype(np.complex128)
+    c, a, b = np.moveaxis(_binary_scaled(z), -1, 0)
+    cc, bb, eps, lam = c * c, b.conj() * b.conj(), params.epsilon, params.lam
+    s = (a * a.conj() + b * b.conj() + cc).real
+    quad = a * a * (bb + cc) + (b * b + cc) * (a.conj() * a.conj()) + cc * bb + b * b * cc
+    energy = eps * ((b * b.conj()).real - cc.real) / s - lam * quad.real / (s * s)
+    return check_ranges(energy, None, "mean-field energy")
 
 
 def stationary_point(params: LmgParams) -> StationaryPoint:

@@ -33,13 +33,15 @@ from .basis import (
     expval_tables,
     occupation_ranks,
 )
-from .errors import _ROUNDOFF, CapacityError, IntegrityError, check_integer, check_range
-from .states import dcat_expval_tables
+from .errors import _ROUNDOFF, CapacityError, EmptySectorError, IntegrityError, check_integer
+from .errors import check_range, check_ranges
+from .states import _cat_constants, dcat_expval_tables
 
 __all__ = [
     "level_populations",
     "level_rdm",
     "level_purity",
+    "level_weights",
     "dscs_level_weights",
     "one_qudit_rdm",
     "one_qudit_rdm_from_tables",
@@ -51,6 +53,7 @@ __all__ = [
     "dcat_two_qudit_purity",
     "EntropyReport",
     "spectrum_entropies",
+    "linear_entropies",
     "entropies",
     "partial_trace_oracle",
     "check_density_matrix",
@@ -82,31 +85,57 @@ def level_purity(state: SymmetricState, i: int) -> float:
     return float(np.sum(pops**2))
 
 
-def dscs_level_weights(n_particles: int, x: float, y: float) -> np.ndarray:
-    """Level-RDM spectrum of a coherent state, closed binomial form.
+def level_weights(x, level: int, n_particles: int, cat: bool = False) -> np.ndarray:
+    """Level-RDM spectra of coherent states, or even cat states with cat=True,
+    from the squared moduli x = |z|^2 of a stack of orbitals (..., D).
 
-    x is the squared amplitude of the chosen level, y the summed squared
-    amplitude of the others.  Entry n is C(N, n) x^(N-n) y^n / (x+y)^N,
-    which is the weight of occupation N - n of the chosen level (the
-    returned array is indexed by n, not by occupation).
+    Entry j is P(n_k = N - j) = C(N, j) x_k^(N-j) y_j / |x|^N, in log space;
+    y_j weighs j particles in the other levels, r^j for |z> (r = sum_{i!=k}
+    x_i).  The cat's levels c other than 1 and k hold even numbers: over sign
+    patterns s of them, with a = x_1 (0 if k = 1) and b_s = |sum_c s_c x_c|,
+    y_j = sum_s (a + b_s)^j (1 + q_s^j), q_s = (a - b_s)/(a + b_s), a sum of
+    terms >= 0.  Entries the parity forbids are exactly 0, and the others are
+    divided by their sum, the squared norm of the even projection.
     """
     n = check_integer(n_particles, 1, None, "n_particles")
+    x = np.asarray(x, dtype=np.float64)
+    d = x.shape[-1]
+    (k0,) = _levels0(d, level)
+    from scipy.special import gammaln, xlogy  # xlogy takes libm's log, as math.log does
+
+    ks = np.arange(n + 1)
+    log_binom = gammaln(n + 1) - gammaln(ks + 1) - gammaln(n - ks + 1)
+    chosen, rest = x[..., k0], sum(x[..., i] for i in range(d) if i != k0)
+    total = chosen + rest
+    if not cat:
+        with np.errstate(divide="ignore"):  # log 0 = -inf, and 0 log 0 = 0
+            log_w = log_binom + xlogy(n - ks, chosen[..., None]) + xlogy(ks, rest[..., None])
+            return np.exp(log_w - xlogy(n, total)[..., None])
+    signs = _cat_constants(d - 1)[0][:, 1 if k0 else 0 :]  # s, one of each pair +-s
+    a = x[..., :1] if k0 else np.zeros_like(x[..., :1])
+    b = np.abs(x[..., [i for i in range(1, d) if i != k0]] @ signs.T)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_q = np.log1p(-2.0 * np.minimum(a, b) / np.where(a + b > 0.0, a + b, np.inf))
+        log_qj = np.where(ks > 0, ks * log_q[..., None], 0.0)  # log |q_s|^j
+        negative = (a < b)[..., None] & (ks % 2 == 1)  # q_s^j < 0
+        log_w = np.where(negative, np.log(-np.expm1(log_qj)), np.log1p(np.exp(log_qj)))
+        log_w += log_binom + xlogy(n - ks, (chosen / total)[..., None, None])
+        log_w += xlogy(ks, ((a + b) / total[..., None])[..., None])
+    w = np.add.reduce(np.exp(log_w), axis=-2)
+    w[..., (ks if k0 == 0 else n - ks) % 2 == 1] = 0.0
+    norm = np.add.reduce(w, axis=-1, keepdims=True)
+    if (norm < 1e-14 * 2 ** (d - 1)).any():
+        raise EmptySectorError("even-parity projection annihilated the state")
+    return w / norm
+
+
+def dscs_level_weights(n_particles: int, x: float, y: float) -> np.ndarray:
+    """Level-RDM spectrum of a coherent state, closed binomial form: entry n
+    is C(N, n) x^(N-n) y^n / (x+y)^N, the weight of occupation N - n of the
+    chosen level, whose squared amplitude is x (y: the others' summed)."""
     if x < 0 or y < 0 or x + y == 0:
         raise ValueError("need x, y >= 0 with x + y > 0")
-    ks = np.arange(n + 1)
-    if x == 0.0:
-        out = np.zeros(n + 1)
-        out[n] = 1.0
-        return out
-    if y == 0.0:
-        out = np.zeros(n + 1)
-        out[0] = 1.0
-        return out
-    from scipy.special import gammaln
-
-    log_binom = gammaln(n + 1) - gammaln(ks + 1) - gammaln(n - ks + 1)
-    log_w = log_binom + (n - ks) * math.log(x) + ks * math.log(y) - n * math.log(x + y)
-    return np.exp(log_w)
+    return level_weights(np.array([x, y], dtype=np.float64), 1, n_particles)
 
 
 # ---------------------------------------------------------------------------
@@ -205,25 +234,43 @@ def _effective_dim(kind: str, n_particles: int, n_levels: int) -> int:
     raise ValueError(f"unknown reduction kind {kind!r}")
 
 
+def _linear_entropy(w, kind: str, n_particles: int, n_levels: int, check):
+    """The rule both entropy functions share, on the last axis of w, with
+    check_range for one spectrum or check_ranges for a stack: eigenvalues
+    within 1e-8 of [0, 1]; the clipped w, purity, linear entropy and log d_eff."""
+    check(w.min(axis=-1), "unit", "reduced-density-matrix eigenvalue", _EIG_FAIL)
+    check(w.max(axis=-1), "unit", "reduced-density-matrix eigenvalue", _EIG_FAIL)
+    w = np.clip(w, 0.0, 1.0)  # roundoff negatives above -1e-8 snap to zero
+    d_eff = _effective_dim(kind, n_particles, n_levels)
+    purity = np.add.reduce(w**2, axis=-1)
+    linear = check(d_eff / (d_eff - 1.0) * (1.0 - purity), "unit", "linear entropy", _ROUNDOFF)
+    return w, purity, linear, math.log(d_eff)
+
+
 def spectrum_entropies(
     weights, kind: str, n_particles: int, n_levels: int
 ) -> EntropyReport:
     """Entropy report from an eigenvalue spectrum (need not be sorted)."""
     w = np.asarray(weights, dtype=np.float64).ravel()
-    check_range(w.min(), "unit", "reduced-density-matrix eigenvalue", _EIG_FAIL)
-    check_range(w.max(), "unit", "reduced-density-matrix eigenvalue", _EIG_FAIL)
-    w = np.clip(w, 0.0, 1.0)  # roundoff negatives above -1e-8 snap to zero
-    d_eff = _effective_dim(kind, n_particles, n_levels)
-    purity = float(np.sum(w**2))
-    linear = d_eff / (d_eff - 1.0) * (1.0 - purity)
+    w, purity, linear, log_d = _linear_entropy(w, kind, n_particles, n_levels, check_range)
     nz = w[w > _EIG_CLIP]
     # the + 0.0 turns an exact -0.0 (pure state) into +0.0
-    von_neumann = float(-(nz * np.log(nz)).sum() / math.log(d_eff)) + 0.0
+    von_neumann = float(-(nz * np.log(nz)).sum() / log_d) + 0.0
     return EntropyReport(
-        purity=purity,
-        linear=check_range(linear, "unit", "linear entropy", _ROUNDOFF),
+        purity=float(purity),
+        linear=linear,
         von_neumann=check_range(von_neumann, "unit", "von Neumann entropy", _ROUNDOFF),
     )
+
+
+def linear_entropies(spectra, kind: str, n_particles: int, n_levels: int) -> np.ndarray:
+    """spectrum_entropies(row).linear for each row of a stack of spectra, bit
+    for bit, with its checks, in one array pass."""
+    w = np.ascontiguousarray(spectra, dtype=np.float64)
+    w, _, linear, log_d = _linear_entropy(w, kind, n_particles, n_levels, check_ranges)
+    terms = w * np.log(np.where(w > _EIG_CLIP, w, 1.0))  # log 1 = 0: dropped
+    check_ranges(-np.add.reduce(terms, axis=-1) / log_d, "unit", "von Neumann entropy", _ROUNDOFF)
+    return linear
 
 
 def entropies(rho, kind: str, n_particles: int, n_levels: int) -> EntropyReport:

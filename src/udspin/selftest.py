@@ -36,6 +36,8 @@ from .lmg import (
 )
 from .rdm import (
     entropies,
+    level_populations,
+    level_weights,
     one_qudit_rdm,
     partial_trace_oracle,
     two_qudit_rdm,
@@ -92,8 +94,8 @@ def _check_operator_algebra() -> None:
 
 
 def _check_surface_vs_states(kind: str, state_of, n: int) -> None:
-    """A 2x2 surface of each moment observable, evaluated in one batched
-    closed-form pass, against the state vector built at every node."""
+    """A 2x2 surface of each moment observable, evaluated in one array pass
+    over closed forms, against the state vector built at every node."""
     basis = SymmetricBasis(n, 3)
     direct_of = {
         "one_atom": lambda state: entropies(one_qudit_rdm(state), "one_atom", n, 3).linear,
@@ -132,6 +134,9 @@ def _check_cat_moments() -> None:
         entry = closed[_levels0(3, *indices)]
         direct = expval_sij_skl(cat, *indices)
         assert abs(entry - direct) < 1e-11, (indices, entry, direct)
+    for level in (1, 2, 3):  # closed-form level weights run over N - occupation
+        weights = level_weights(np.square(z), level, 7, cat=True)[::-1]
+        assert np.max(np.abs(weights - level_populations(cat, level))) < 1e-12, level
     _check_surface_vs_states("dcat", dcat, 7)
 
 
@@ -205,7 +210,7 @@ CHECKS = (
     ("basis dimensions and ranking", _check_dimensions),
     ("operator adjoint and Casimir", _check_operator_algebra),
     ("coherent-state first moments", _check_coherent_moments),
-    ("cat-state quadratic moments", _check_cat_moments),
+    ("cat-state quadratic moments and level weights", _check_cat_moments),
     ("balanced-superposition values", _check_nodon_values),
     ("two-particle reduction vs partial trace", _check_rdm_oracle),
     ("two-level squeezing reduction", _check_squeezing_reduction),

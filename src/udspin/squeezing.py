@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import SymmetricState, _levels0, expval_sij, expval_sij_skl, expval_tables
-from .errors import _ROUNDOFF, check_range
+from .errors import _ROUNDOFF, check_range, check_ranges
 
 __all__ = [
     "SqueezingReport",
@@ -33,7 +33,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SqueezingReport:
-    """Pairwise parameters keyed by (i, j) with i > j, and their sum."""
+    """Pairwise parameters keyed by (i, j), i > j, and their sum; arrays for a stack."""
 
     pairwise: dict
     total: float
@@ -47,14 +47,14 @@ def _check_pair(n_levels: int, i: int, j: int) -> tuple:
     return i0, j0
 
 
-def xi_pair_from_tables(Q: np.ndarray, n_particles: int, i: int, j: int) -> float:
-    """Pair squeezing parameter from a quadratic moment table."""
-    d = Q.shape[0]
+def xi_pair_from_tables(Q: np.ndarray, n_particles: int, i: int, j: int):
+    """Pair squeezing parameter from a quadratic moment table, or a stack."""
+    d = Q.shape[-1]
     i0, j0 = _check_pair(d, i, j)
-    sym = (Q[i0, j0, j0, i0] + Q[j0, i0, i0, j0]).real
-    off = abs(Q[i0, j0, i0, j0])
+    sym = (Q[..., i0, j0, j0, i0] + Q[..., j0, i0, i0, j0]).real
+    off = abs(Q[..., i0, j0, i0, j0])
     xi2 = (sym - 2.0 * off) / (n_particles * (d - 1.0))
-    return check_range(xi2, "nonneg", "pair squeezing parameter", _ROUNDOFF)
+    return check_ranges(xi2, "nonneg", "pair squeezing parameter", _ROUNDOFF)
 
 
 def xi_pair(state: SymmetricState, i: int, j: int) -> float:
@@ -63,12 +63,13 @@ def xi_pair(state: SymmetricState, i: int, j: int) -> float:
 
 
 def squeezing_report_from_tables(Q: np.ndarray, n_particles: int) -> SqueezingReport:
-    d = Q.shape[0]
+    """The report of one table, or of a stack with arrays for values."""
+    d = Q.shape[-1]
     pairwise = {}
     for i in range(2, d + 1):
         for j in range(1, i):
             pairwise[(i, j)] = xi_pair_from_tables(Q, n_particles, i, j)
-    return SqueezingReport(pairwise=pairwise, total=float(sum(pairwise.values())))
+    return SqueezingReport(pairwise=pairwise, total=sum(pairwise.values()))
 
 
 def squeezing_report(state: SymmetricState) -> SqueezingReport:

@@ -10,7 +10,8 @@ a worker pool whose fan-out never changes the result.
 
 A surface walks a real grid of state labels instead, tabulating one
 observable per node for external contour plotting, together with a
-sidecar table of the mean-field stationary curve.
+sidecar table of the mean-field stationary curve.  Its nodes go in blocks,
+each one array pass over closed forms: no node builds a state vector.
 """
 
 from __future__ import annotations
@@ -37,15 +38,16 @@ from .lmg import (
     variational_cat,
 )
 from .rdm import (
-    dscs_level_weights,
     entropies,
     level_populations,
+    level_weights,
+    linear_entropies,
     one_qudit_rdm_from_tables,
     spectrum_entropies,
     two_qudit_rdm_from_tables,
 )
 from .squeezing import squeezing_report_from_tables
-from .states import dcat, dcat_expval_tables, dscs_expval_tables
+from .states import _binary_scaled, dcat_expval_tables, dscs_expval_tables
 
 __all__ = [
     "SWEEP_SOURCES",
@@ -406,6 +408,8 @@ class SurfaceConfig:
         check_integer(self.n_particles, 3, None, "n_particles", ConfigError)
         if not (math.isfinite(self.epsilon) and self.epsilon > 0):
             raise ConfigError("epsilon must be positive and finite")
+        if not (math.isfinite(self.lam) and self.lam >= 0):
+            raise ConfigError(f"lam must be finite and >= 0, got {self.lam!r}")
         if self.kind not in SURFACE_KINDS:
             raise ConfigError(f"unknown state kind {self.kind!r}")
         if self.coords not in SURFACE_COORDS:
@@ -431,7 +435,7 @@ class SurfaceConfig:
 
 def _spectra(rho: np.ndarray) -> np.ndarray:
     """Eigenvalues of a stack of Hermitian matrices in one call.  A matrix
-    with a non-finite entry gets a NaN spectrum, which spectrum_entropies
+    with a non-finite entry gets a NaN spectrum, which linear_entropies
     rejects at its own node, instead of failing the whole call."""
     finite = np.isfinite(rho).all(axis=(-2, -1))
     w = np.linalg.eigvalsh(np.where(finite[..., None, None], rho, 0.0))
@@ -439,86 +443,68 @@ def _spectra(rho: np.ndarray) -> np.ndarray:
     return w
 
 
-#: Nodes per batched closed-form pass.  A pass holds a few (nodes, D^4)
-#: complex arrays at once.  On the 41x41 N = 100 dcat two_atom grid,
-#: surface_table peaks at 11.3 MB of traced allocations in one pass, and the
-#: process's peak RSS rises by about as much; in blocks of 64 it peaks at
-#: 0.56 MB (0.36 MB for a state per node), and its time, 0.05-0.07 s, is
-#: the same as in one pass within run-to-run noise.  Values do not depend
-#: on the block size.
+#: Nodes per array pass, which holds (nodes, D^4) complex tables or the
+#: (nodes, 2^(D-2), N+1) cat level terms.  On the 41x41 N = 100 dcat grid the
+#: traced peak of surface_table is 0.55 MB for two_atom and 0.59 MB for
+#: level_entropy_1 in blocks of 64, against 11.4 and 14.2 MB in one pass, for
+#: the same time within noise.  Values do not depend on the block size.
 _SURFACE_BLOCK = 64
 
 
-def _block_nodes(config: SurfaceConfig, a: np.ndarray, b: np.ndarray):
-    """The evaluator node(k, a_k, b_k) of one block of nodes (1-D a, b).
-
-    The moment observables take the closed-form tables of the whole block
-    in one pass and their reduced spectra in one eigvalsh call; dscs level
-    entropies take the binomial closed form.  The energy and the dcat
-    level entropies, which have no parity-projected closed form, go node
-    by node, the latter through the state vector.
-    """
+def _block_values(config: SurfaceConfig, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The observable at one block of nodes (1-D a, b), in one array pass over
+    closed forms: moment tables and one eigvalsh call, level weights, or the
+    mean-field energy.  No node builds a state vector."""
     n, kind, observable = config.n_particles, config.kind, config.observable
-    if observable in ("one_atom", "two_atom", "squeezing_total"):
-        tables = dscs_expval_tables if kind == "dscs" else dcat_expval_tables
-        S, Q = tables(np.stack([np.ones_like(a), a, b], axis=-1), n)
-        if observable == "squeezing_total":
-            return lambda k, ak, bk: squeezing_report_from_tables(Q[k], n).total
-        if observable == "one_atom":
-            w = _spectra(one_qudit_rdm_from_tables(S, n))
-        else:
-            w = _spectra(two_qudit_rdm_from_tables(S, Q, n))
-        return lambda k, ak, bk: spectrum_entropies(w[k], observable, n, 3).linear
     if observable == "energy":
         params = LmgParams(n_particles=n, epsilon=config.epsilon, lam=config.lam)
-        return lambda k, ak, bk: energy_surface(ak, bk, params)
-    level = int(observable[-1])
-    if kind == "dscs":
-
-        def node(k, ak, bk):
-            if config.coords == "xy":
-                x, y = ak, bk
-            else:  # z = (1, a, b): the weight of the level and that of the other two
-                squares = [1.0, ak * ak, bk * bk]
-                x = squares.pop(level - 1)
-                y = squares[0] + squares[1]
-            if x + y == 0.0:
-                return 0.0
-            return spectrum_entropies(dscs_level_weights(n, x, y), "level", n, 3).linear
-
-        return node
-    basis = shared_basis(n, 3)
-
-    def node(k, ak, bk):
-        populations = level_populations(dcat(basis, (1.0, ak, bk)), level)
-        return spectrum_entropies(populations, "level", n, 3).linear
-
-    return node
+        return energy_surface(a, b, params)
+    z = np.stack([np.ones_like(a), a, b], axis=-1)  # the orbitals (1, a, b)
+    if observable in ("one_atom", "two_atom", "squeezing_total"):
+        tables = dscs_expval_tables if kind == "dscs" else dcat_expval_tables
+        S, Q = tables(z, n)
+        if observable == "squeezing_total":
+            return squeezing_report_from_tables(Q, n).total
+        if observable == "one_atom":
+            rho = one_qudit_rdm_from_tables(S, n)
+        else:
+            rho = two_qudit_rdm_from_tables(S, Q, n)
+        return linear_entropies(_spectra(rho), observable, n, 3)
+    level, power = int(observable[-1]), 2
+    if config.coords == "xy":  # the chosen level's weight and the others' summed weight
+        level, z, power = 1, np.stack([a, b], axis=-1), 1
+    # a power of two scales z only where the squares overflow: other nodes keep their bits
+    with np.errstate(over="ignore"):
+        x = z**power
+        over = ~np.isfinite(np.add.reduce(x, axis=-1))
+    x[over] = _binary_scaled(z[over]) ** power
+    x[np.add.reduce(x, axis=-1) == 0.0, 0] = 1.0  # no weight at all (the xy origin): pure
+    return linear_entropies(level_weights(x, level, n, cat=kind == "dcat"), "level", n, 3)
 
 
 def _surface_value(config: SurfaceConfig, a, b) -> np.ndarray:
     """Observable at the grid nodes (a, b), in the broadcast shape of a and b.
 
-    Nodes are taken in blocks of _SURFACE_BLOCK (see _block_nodes).  Every
-    node's value passes the per-node range checks, and a UdspinError at a
-    node is re-raised as its own class, naming the node.
+    Nodes go in blocks of _SURFACE_BLOCK (see _block_values).  When a block
+    fails, its nodes are run one by one, and the first that fails re-raises
+    its UdspinError as its own class, naming the node.
     """
     a, b = np.broadcast_arrays(np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64))
     a_flat, b_flat = a.ravel(), b.ravel()
     values = np.empty(a.size)
     for start in range(0, a.size, _SURFACE_BLOCK):
-        block_a = a_flat[start : start + _SURFACE_BLOCK]
-        block_b = b_flat[start : start + _SURFACE_BLOCK]
-        node = _block_nodes(config, block_a, block_b)
-        for k, (ak, bk) in enumerate(zip(block_a.tolist(), block_b.tolist())):
-            try:
-                values[start + k] = node(k, ak, bk)
-            except UdspinError as exc:
-                where = (
-                    f"N={config.n_particles}, kind={config.kind}, "
-                    f"observable={config.observable}, (a, b)=({ak!r}, {bk!r})"
-                )
-                raise type(exc)(f"{where}: {exc}") from exc
+        block = slice(start, start + _SURFACE_BLOCK)
+        try:
+            values[block] = _block_values(config, a_flat[block], b_flat[block])
+        except UdspinError:
+            for ak, bk in zip(a_flat[block].tolist(), b_flat[block].tolist()):
+                try:
+                    _block_values(config, np.array([ak]), np.array([bk]))
+                except UdspinError as exc:
+                    node = f"observable={config.observable}, (a, b)=({ak!r}, {bk!r})"
+                    where = f"N={config.n_particles}, kind={config.kind}, {node}"
+                    raise type(exc)(f"{where}: {exc}") from exc
+            raise
     return values.reshape(a.shape)
 
 

@@ -5,16 +5,22 @@ two before it is squared, so a component up to the float limit gives
 finite tables with the same bits as the orbital scaled down exactly.
 Oracle: the tables of the same orbital at moderate scale.  An orbital
 whose squared norm underflows is still refused by every constructor.
+Surfaces out to the float limit stay finite and in range, and far out they
+read the one- or two-level states their orbitals tend to.
 """
 
 import csv
+import math
+import warnings
 
 import numpy as np
 import pytest
 
 from udspin.basis import shared_basis
 from udspin.cli import main
+from udspin.rdm import dscs_level_weights, spectrum_entropies
 from udspin.states import dcat, dcat_expval_tables, dscs, dscs_expval_tables
+from udspin.sweep import SURFACE_OBSERVABLES
 
 
 def _orbitals():
@@ -47,6 +53,57 @@ def test_surface_node_at_a_huge_coordinate_is_finite(tmp_path, capsys):
         rows = list(csv.DictReader(handle))
     far = [float(r["value"]) for r in rows if float(r["alpha"]) == 1e160]
     assert len(far) == 2 and all(0.0 <= v <= 1e-12 for v in far)  # |0, N, 0> is a product
+
+
+def _surface_cells(tmp_path, *flags) -> dict:
+    """{(a, b): value} of a 3x3 N = 10 surface written through the CLI, with
+    any warning (an overflow among them) an error."""
+    out = tmp_path / "s.csv"
+    argv = ["surface", "--n", "10", "--a-count", "3", "--b-count", "3", *flags, "--out", str(out)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 0
+    with open(out, newline="") as handle:
+        return {(float(r[0]), float(r[1])): float(r[2]) for r in list(csv.reader(handle))[1:]}
+
+
+BIG = [1e200, 1e300, 1e308]
+
+
+@pytest.mark.parametrize("big", BIG)
+@pytest.mark.parametrize("kind", ["dscs", "dcat"])
+@pytest.mark.parametrize("observable", SURFACE_OBSERVABLES)
+def test_surface_at_the_float_limit_is_finite(observable, kind, big, tmp_path):
+    big = repr(big)
+    cells = _surface_cells(tmp_path, "--kind", kind, "--observable", observable,
+                           "--a-max", big, "--b-max", big)
+    assert all(math.isfinite(v) for v in cells.values())
+    if observable not in ("energy", "squeezing_total"):
+        assert all(0.0 <= v <= 1.0 for v in cells.values())
+
+
+@pytest.mark.parametrize("big", BIG)
+def test_energy_surface_past_the_float_range(big, tmp_path):
+    cells = _surface_cells(tmp_path, "--observable", "energy", "--a-max", repr(big),
+                           "--b-max", repr(big))
+    # far out the state is |0, N, 0> (energy 0), |0, 0, N> (energy epsilon), or the two
+    # levels equally, where the coupling lam = 1 cancels the splitting
+    assert (cells[(big, 0.0)], cells[(0.0, big)], cells[(big, big)]) == (0.0, 1.0, 0.0)
+
+
+@pytest.mark.parametrize("big", BIG)
+def test_level_surfaces_past_the_float_range(big, tmp_path):
+    far = repr(big)
+    # level 1 of (1, a, b) is empty once a is past the float range, and the cat's level 2 full
+    for flags in (("--kind", "dscs", "--observable", "level_entropy_1"),
+                  ("--kind", "dcat", "--observable", "level_entropy_2")):
+        cells = _surface_cells(tmp_path, *flags, "--a-max", far)
+        assert [v for (a, _), v in cells.items() if a > 0] == [0.0] * 6
+    cells = _surface_cells(tmp_path, "--kind", "dscs", "--coords", "xy",
+                           "--observable", "level_entropy_1", "--a-max", far, "--b-max", far)
+    even = spectrum_entropies(dscs_level_weights(10, 1.0, 1.0), "level", 10, 3).linear
+    assert cells[(big, big)] == pytest.approx(even, abs=1e-12)
+    assert cells[(big, 0.0)] == cells[(0.0, big)] == 0.0
 
 
 @pytest.mark.parametrize("make", [dscs, dcat])

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 import udspin
-from udspin import states, sweep
+from udspin import sweep
 from udspin.basis import SymmetricBasis, expval_tables, shared_basis
 from udspin.errors import IntegrityError
 from udspin.rdm import (
@@ -162,15 +162,15 @@ def test_non_finite_matrix_gets_a_nan_spectrum_of_its_own():
 
 
 def test_failing_batched_node_names_itself(monkeypatch):
-    real, calls = sweep.spectrum_entropies, []
+    real = sweep.dscs_expval_tables
 
-    def failing_third(weights, *args):
-        calls.append(weights)
-        if len(calls) == 3:
-            raise IntegrityError("reduced-density-matrix eigenvalue: non-finite value nan")
-        return real(weights, *args)
+    def nan_at_third_node(z, n):  # NaN tables, so a NaN spectrum, at (a, b) = (2.0, 0.0)
+        S, Q = real(z, n)
+        third = (z[..., 1] == 2.0) & (z[..., 2] == 0.0)
+        S[third], Q[third] = np.nan, np.nan
+        return S, Q
 
-    monkeypatch.setattr(sweep, "spectrum_entropies", failing_third)
+    monkeypatch.setattr(sweep, "dscs_expval_tables", nan_at_third_node)
     config = SurfaceConfig(n_particles=10, kind="dscs", observable="two_atom", a_count=2, b_count=2)
     with pytest.raises(IntegrityError, match="non-finite") as caught:
         surface_table(config)
@@ -181,9 +181,10 @@ def test_failing_batched_node_names_itself(monkeypatch):
 
 
 def test_failing_state_node_names_itself(monkeypatch):
-    monkeypatch.setattr(states, "dcat_norm_squared", lambda z, n: math.nan)
+    real = sweep.level_weights
+    monkeypatch.setattr(sweep, "level_weights", lambda *args, **kw: real(*args, **kw) * math.nan)
     config = SurfaceConfig(n_particles=6, kind="dcat", observable="level_entropy_2", a_count=2, b_count=2)
-    with pytest.raises(IntegrityError, match="cat-state norm mismatch") as caught:
+    with pytest.raises(IntegrityError, match="eigenvalue: non-finite") as caught:
         surface_table(config)
     assert str(caught.value).startswith("N=6, kind=dcat, observable=level_entropy_2, (a, b)=(0.0, 0.0): ")
     assert type(caught.value.__cause__) is IntegrityError
