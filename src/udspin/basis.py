@@ -443,50 +443,74 @@ def expval_matrix(state: SymmetricState) -> np.ndarray:
     return expval_tables(state)[0]
 
 
-def expval_tables(state: SymmetricState):
+def _as_stack(states):
+    """(single, states, sector, c): whether one state was passed, the states
+    (one, or a sequence on one basis) as a list, the parity sector holding
+    them all, or None, and their coefficients on its rows (all rows for
+    None) as the C-contiguous rows of one array."""
+    single = isinstance(states, SymmetricState)
+    states = [states] if single else list(states)
+    if not states:
+        raise ValueError("need at least one state")
+    sector = _state_sector(states[0])
+    for state in states[1:]:
+        _same_basis(states[0], state)
+        sector = sector if _state_sector(state) is sector else None
+    ranks = slice(None) if sector is None else sector.ranks
+    return single, states, sector, np.stack([state.coeffs[ranks] for state in states])
+
+
+def expval_tables(states):
     """First and second moments of the collective operators.
 
     Returns (S, Q) with S[a, b] = <S_{a+1, b+1}> of shape (D, D) and
-    Q[a, b, c, e] = <S_{a+1, b+1} S_{c+1, e+1}> of shape (D, D, D, D).
-    On one parity sector every S_ij (i != j) leaves the sector, so S =
-    diag<n_i> and Q holds only <n_i n_k>, <S_ij S_ji> = <n_i (n_j + 1)>
-    and <S_ij^2> (i < j from the sector's moves, <S_ji^2> its conjugate):
-    O(dim) numpy sums, but <n_i n_k> is a float64 matmul (BLAS dgemm),
-    whose bytes tests/test_moment_route.py pins across BLAS thread counts
-    at N = 400.  Any other
-    state pays D**2 memoized moves scattered into one (D**2, dim) block
-    plus one Gram matrix product, instead of D**4 quadratic evaluations.
+    Q[a, b, c, e] = <S_{a+1, b+1} S_{c+1, e+1}> of shape (D, D, D, D), or
+    stacks of them for a sequence of states on one basis.  States on one
+    parity sector go in one stacked pass (a single state is a stack of
+    one), other sequences state by state; every table has the same bytes
+    however it is called.  On one sector S = diag<n_i> and Q holds only
+    <n_i n_k>, <S_ij S_ji> = <n_i (n_j + 1)> and <S_ij^2> (i < j from the
+    sector's moves, <S_ji^2> its conjugate): numpy sums along C-contiguous
+    rows, but <n_i n_k> is one float64 BLAS dgemm per state, whose bytes
+    tests/test_moment_route.py pins across BLAS thread counts at N = 400.
+    A state on no one sector pays D**2 memoized moves scattered into one
+    (D**2, dim) block plus one Gram matrix product.
     """
-    basis = state.basis
+    single, states, sector, c = _as_stack(states)
+    basis, m = states[0].basis, len(states)
     d = basis.n_levels
-    c = state.coeffs
-    sector = _state_sector(state)
-    if sector is not None:
-        n = sector.floats
-        c = c[sector.ranks]
-        weighted = n.T * np.abs(c) ** 2
-        mean, nn = weighted.sum(axis=1), weighted @ n
-        Q = np.zeros((d,) * 4, dtype=np.complex128)
-        a, b = np.arange(d)[:, None], np.arange(d)
-        Q[a, b, b, a] = nn + mean[:, None]
-        Q[a, a, b, b] = nn  # overwrites a = b above, where <S_aa S_aa> = <n_a^2>
-        for (i0, j0), (src, dst, amp) in sector.moves.items():
-            if i0 < j0:  # S_ji**2 is the adjoint of S_ij**2
-                # numpy's pairwise sum, not BLAS zdotc, whose threaded
-                # split reorders the sum with the BLAS thread count
-                Q[i0, j0, i0, j0] = (np.conj(c[dst]) * (amp * c[src])).sum()
-                Q[j0, i0, j0, i0] = Q[i0, j0, i0, j0].conjugate()
-        return np.diag(mean).astype(np.complex128), Q
-    applied = np.zeros((d * d, basis.dim), dtype=np.complex128)
-    for i0 in range(d):
-        for j0 in range(d):
-            src, dst, amp = basis._transitions0(i0, j0)
-            applied[i0 * d + j0, dst] = amp * c[src]
-    from scipy.linalg.blas import zgemm
+    if sector is None and m > 1:  # several sectors: each state by its own route
+        return tuple(map(np.stack, zip(*map(expval_tables, states))))
+    if sector is None:  # one state, on the Gram route
+        c = c[0]
+        applied = np.zeros((d * d, basis.dim), dtype=np.complex128)
+        for i0 in range(d):
+            for j0 in range(d):
+                src, dst, amp = basis._transitions0(i0, j0)
+                applied[i0 * d + j0, dst] = amp * c[src]
+        from scipy.linalg.blas import zgemm
 
-    # gram[p, q] = <S_p psi | S_q psi>; with p = (j, i) this is <S_ij S_q>.
-    # zgemm conjugates inside the product (trans_a=2): no conjugated copy
-    gram = zgemm(1.0, applied.T, applied.T, trans_a=2)
-    S = (np.conj(c) @ applied.T).reshape(d, d)
-    Q = gram.reshape(d, d, d, d).transpose(1, 0, 2, 3)
-    return S, Q
+        # gram[p, q] = <S_p psi | S_q psi>; with p = (j, i) this is <S_ij S_q>.
+        # zgemm conjugates inside the product (trans_a=2): no conjugated copy
+        gram = zgemm(1.0, applied.T, applied.T, trans_a=2)
+        S = (np.conj(c) @ applied.T).reshape(1, d, d)
+        Q = gram.reshape(1, d, d, d, d).transpose(0, 2, 1, 3, 4)
+        return (S[0], Q[0]) if single else (S, Q)
+    Q = np.zeros((m,) + (d,) * 4, dtype=np.complex128)
+    for (i0, j0), (src, dst, amp) in sector.moves.items():
+        if i0 < j0:  # S_ji**2 is the adjoint of S_ij**2
+            # numpy's pairwise sum along C-contiguous rows, not BLAS zdotc,
+            # whose threaded split reorders the sum with the BLAS thread count
+            terms = np.conj(c.take(dst, axis=1))
+            terms *= amp * c.take(src, axis=1)
+            Q[:, i0, j0, i0, j0] = terms.sum(axis=-1)
+            Q[:, j0, i0, j0, i0] = Q[:, i0, j0, i0, j0].conjugate()
+    n = sector.floats  # each state's (D, dim) slice laid out as n.T * |c|**2
+    weighted = (n * (np.abs(c) ** 2)[..., None]).swapaxes(-1, -2)
+    mean, nn = weighted.sum(axis=-1), weighted @ n
+    a, b = np.arange(d)[:, None], np.arange(d)
+    Q[:, a, b, b, a] = nn + mean[..., None]
+    Q[:, a, a, b, b] = nn  # overwrites a = b above, where <S_aa S_aa> = <n_a^2>
+    S = np.zeros((m, d, d), dtype=np.complex128)
+    S[:, range(d), range(d)] = mean
+    return (S[0], Q[0]) if single else (S, Q)

@@ -494,14 +494,14 @@ def thermo_curvature(params: LmgParams, phase: str | None = None):
     raise ValueError(f"unknown phase {phase!r}")
 
 
-def _tables_energy(S: np.ndarray, Q: np.ndarray, params: LmgParams) -> float:
-    """<H> from a state's moment tables:
+def _tables_energy(S: np.ndarray, Q: np.ndarray, n: int, epsilon: float, lam):
+    """<H> from a state's moment tables, or from stacks of them with lam
+    holding each table's coupling:
     eps/N (S_33 - S_11) - lam/(N(N-1)) sum_{i!=j} <S_ij^2>."""
-    n = params.n_particles
     i, j = np.nonzero(~np.eye(3, dtype=bool))
-    kin = params.epsilon / n * float((S[2, 2] - S[0, 0]).real)
-    quad = float(Q[i, j, i, j].sum().real)
-    return kin - params.lam / (n * (n - 1)) * quad
+    kin = epsilon / n * (S[..., 2, 2] - S[..., 0, 0]).real
+    quad = np.ascontiguousarray(Q[..., i, j, i, j]).sum(axis=-1).real  # pairwise, per table
+    return kin - lam / (n * (n - 1)) * quad
 
 
 def variational_energy(state: SymmetricState, params: LmgParams) -> float:
@@ -509,7 +509,8 @@ def variational_energy(state: SymmetricState, params: LmgParams) -> float:
     basis = state.basis
     if basis.n_levels != 3 or basis.n_particles != params.n_particles:
         raise ValueError("state sector does not match params")
-    return _tables_energy(*expval_tables(state), params)
+    S, Q = expval_tables(state)
+    return float(_tables_energy(S, Q, params.n_particles, params.epsilon, params.lam))
 
 
 def variational_cat(basis: SymmetricBasis, params: LmgParams) -> SymmetricState:

@@ -27,15 +27,15 @@ import numpy as np
 
 from .basis import (
     SymmetricState,
+    _as_stack,
     _levels0,
-    _state_sector,
     expval_matrix,
     expval_tables,
     occupation_ranks,
 )
 from .errors import _ROUNDOFF, CapacityError, EmptySectorError, IntegrityError, check_integer
 from .errors import check_range, check_ranges
-from .states import _cat_constants, dcat_expval_tables
+from .states import _cat_constants, _even_parts, dcat_expval_tables
 
 __all__ = [
     "level_populations",
@@ -64,15 +64,19 @@ __all__ = [
 # level reduction
 
 
-def level_populations(state: SymmetricState, i: int) -> np.ndarray:
-    """Marginal probabilities P(n_i = p), p = 0..N; the level-RDM spectrum."""
-    basis = state.basis
+def level_populations(states, i: int) -> np.ndarray:
+    """Marginal probabilities P(n_i = p), p = 0..N, the level-RDM spectrum, of
+    one state, or a stack of them for a sequence of states on one basis, in
+    one bincount whose bins each sum their state's rows in row order."""
+    single, states, sector, c = _as_stack(states)
+    basis, m, width = states[0].basis, len(states), states[0].basis.n_particles + 1
     (i0,) = _levels0(basis.n_levels, i)
-    c, rows = state.coeffs, basis.occupations
-    sector = _state_sector(state)
-    if sector is not None:  # skips only exact zeros: the same sums, in the same order
-        c, rows = c[sector.ranks], sector.rows
-    return np.bincount(rows[:, i0], weights=np.abs(c) ** 2, minlength=basis.n_particles + 1)
+    # a sector skips only exact zeros: the same sums, in the same order
+    rows = basis.occupations if sector is None else sector.rows
+    bins = (rows[:, i0] + width * np.arange(m)[:, None]).ravel()
+    weights = (np.abs(c) ** 2).ravel()
+    pops = np.bincount(bins, weights=weights, minlength=m * width).reshape(m, width)
+    return pops[0] if single else pops
 
 
 def level_rdm(state: SymmetricState, i: int) -> np.ndarray:
@@ -114,13 +118,9 @@ def level_weights(x, level: int, n_particles: int, cat: bool = False) -> np.ndar
     signs = _cat_constants(d - 1)[0][:, 1 if k0 else 0 :]  # s, one of each pair +-s
     a = x[..., :1] if k0 else np.zeros_like(x[..., :1])
     b = np.abs(x[..., [i for i in range(1, d) if i != k0]] @ signs.T)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_q = np.log1p(-2.0 * np.minimum(a, b) / np.where(a + b > 0.0, a + b, np.inf))
-        log_qj = np.where(ks > 0, ks * log_q[..., None], 0.0)  # log |q_s|^j
-        negative = (a < b)[..., None] & (ks % 2 == 1)  # q_s^j < 0
-        log_w = np.where(negative, np.log(-np.expm1(log_qj)), np.log1p(np.exp(log_qj)))
-        log_w += log_binom + xlogy(n - ks, (chosen / total)[..., None, None])
-        log_w += xlogy(ks, ((a + b) / total[..., None])[..., None])
+    log_w = _even_parts(a, b, ks)
+    log_w += log_binom + xlogy(n - ks, (chosen / total)[..., None, None])
+    log_w += xlogy(ks, ((a + b) / total[..., None])[..., None])
     w = np.add.reduce(np.exp(log_w), axis=-2)
     w[..., (ks if k0 == 0 else n - ks) % 2 == 1] = 0.0
     norm = np.add.reduce(w, axis=-1, keepdims=True)

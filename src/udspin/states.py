@@ -238,19 +238,27 @@ def _cat_constants(n_levels: int):
     return signs, sign_pairs, pairs
 
 
-def _cat_weights(x: np.ndarray) -> np.ndarray:
-    """Normalized overlaps u_b = (z^b . z)/|z|^2 in [-1, 1] from the squared
-    moduli x = |z|^2, one per sign pattern along the last axis; x may be a
-    stack."""
-    signs = _cat_constants(x.shape[-1])[0]
-    return np.add.reduce(x[..., None, :] * signs, axis=-1) / np.add.reduce(x, axis=-1)[..., None]
+def _even_parts(a, b, ks):
+    """log(1 + q^j), q = (a - b)/(a + b), for a, b >= 0 and each exponent j of
+    ks along a new last axis: (a + b)^j (1 + q^j) = (a + b)^j + (a - b)^j sums a
+    sign pattern and its negative as one term >= 0, free of cancellation."""
+    s = a + b
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_q = np.log1p(-2.0 * np.minimum(a, b) / np.where(s > 0.0, s, np.inf))
+        log_qj = np.where(ks > 0, ks * log_q[..., None], 0.0)  # log |q|^j
+        negative = (a < b)[..., None] & (ks % 2 == 1)  # q^j < 0
+        return np.where(negative, np.log(-np.expm1(log_qj)), np.log1p(np.exp(log_qj)))
 
 
 def dcat_norm_squared(z, n_particles: int) -> float:
-    """Squared norm of the even projection of |z>: 2^(1-D) sum_b u_b^N."""
+    """Squared norm of the even projection of |z>: 2^(1-D) sum_b u_b^N, with the
+    patterns b paired with their negatives (see _even_parts): a = |z_1|^2 and
+    b_s = |sum_c s_c |z_c|^2| over levels c >= 2, one pattern s of each pair."""
     n = check_integer(n_particles, 1, None, "n_particles")
-    z = _as_orbital(z)
-    return float(2.0 ** (1 - z.size) * np.sum(_cat_weights(np.abs(z) ** 2) ** n))
+    x = np.abs(_as_orbital(z)) ** 2
+    a, b = x[:1], np.abs(x[1:] @ _cat_constants(x.size - 1)[0].T)
+    terms = ((a + b) / x.sum()) ** n * np.exp(_even_parts(a, b, np.array([n]))[:, 0])
+    return float(2.0 ** (1 - x.size) * terms.sum())
 
 
 def dcat(basis: SymmetricBasis, z) -> SymmetricState:
@@ -258,7 +266,7 @@ def dcat(basis: SymmetricBasis, z) -> SymmetricState:
 
     The amplitudes are evaluated on the sector's rows only.  Their squared
     norm is the projected norm of the unit-norm |z>, cross-checked against
-    its closed form; a mismatch beyond 1e-10 raises IntegrityError.
+    its closed form; a relative mismatch beyond 1e-10 raises IntegrityError.
     """
     z = _as_orbital(z, basis.n_levels)
     sector = basis.sector_rows((0,) * (basis.n_levels - 1))
@@ -267,7 +275,7 @@ def dcat(basis: SymmetricBasis, z) -> SymmetricState:
     if sq < 1e-14:
         raise EmptySectorError("even-parity projection annihilated the state")
     closed = dcat_norm_squared(z, basis.n_particles)
-    if not abs(sq - closed) <= 1e-10:  # NaN fails
+    if not abs(sq - closed) <= 1e-10 * closed:  # NaN fails
         raise IntegrityError(
             f"cat-state norm mismatch: projection {sq!r} vs closed form {closed!r}"
         )
@@ -297,11 +305,11 @@ def dcat_expval_tables(z, n_particles: int):
     d = z.shape[-1]
     signs, sign_pairs, pairs = _cat_constants(d)
     x = np.abs(z) ** 2
-    u = _cat_weights(x)
+    norm2 = np.add.reduce(x, axis=-1)[..., None]
+    u = np.add.reduce(x[..., None, :] * signs, axis=-1) / norm2  # u_b = (z^b . z)/|z|^2
     den = np.add.reduce(u**n, axis=-1)
     if (den <= 0.0).any():
         raise EmptySectorError("even-parity projection annihilated the state")
-    norm2 = np.add.reduce(x, axis=-1)[..., None]
     zc = np.conj(z)
     w1 = np.add.reduce(signs.T * (u ** (n - 1))[..., None, :], axis=-1)
     S = np.zeros(z.shape + (d,), dtype=np.complex128)

@@ -182,9 +182,9 @@ def table_calls(monkeypatch):
     calls = []
     original = sweep.expval_tables
 
-    def counted(state):
-        calls.append(state)
-        return original(state)
+    def counted(states):
+        calls.extend(states if isinstance(states, list) else [states])
+        return original(states)
 
     monkeypatch.setattr(sweep, "expval_tables", counted)
     monkeypatch.setattr(lmg, "expval_tables", counted)

@@ -87,9 +87,9 @@ def test_sweep_builds_one_basis_shared_by_both_sources(monkeypatch):
     seen = []
     original_populations = sweep.level_populations
 
-    def recording_populations(state, i):
-        seen.append(state.basis)
-        return original_populations(state, i)
+    def recording_populations(states, i):
+        seen.extend(state.basis for state in states)
+        return original_populations(states, i)
 
     monkeypatch.setattr(SymmetricBasis, "__init__", counting_init)
     monkeypatch.setattr(sweep, "level_populations", recording_populations)
