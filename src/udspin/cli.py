@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -310,22 +311,9 @@ def _cmd_state(args) -> int:
 
 def _cmd_surface(args) -> int:
     _require_out(args)
-    config = SurfaceConfig(
-        **_given(
-            n_particles=args.n,
-            epsilon=args.epsilon,
-            lam=args.lam,
-            kind=args.kind,
-            coords=args.coords,
-            observable=args.observable,
-            a_min=args.a_min,
-            a_max=args.a_max,
-            a_count=args.a_count,
-            b_min=args.b_min,
-            b_max=args.b_max,
-            b_count=args.b_count,
-        )
-    )
+    flag = {"n_particles": "n"}  # every other SurfaceConfig field has a flag of its name
+    names = (field.name for field in fields(SurfaceConfig))
+    config = SurfaceConfig(**_given(**{name: getattr(args, flag.get(name, name)) for name in names}))
     sidecar = write_surface(config, args.out, args.format)
     rows = config.a_count * config.b_count
     print(f"wrote {rows} rows to {args.out} (stationary curve: {sidecar})")

@@ -30,7 +30,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .basis import SymmetricState, _frozen, dimension, expval_tables, shared_basis
+from .basis import dimension, expval_tables, shared_basis
 from .errors import ConfigError, IntegrityError, UdspinError, check_integer, check_range
 from .errors import check_ranges
 from .lmg import (
@@ -183,13 +183,12 @@ class SweepConfig:
 
 
 #: Bytes of state coefficients a sweep block holds, one full-space complex
-#: vector per row: 9 couplings with both sources at N = 50, one from N = 110.
-#: The default N = 50 sweep on a 2-core VM, against one call per row: traced
-#: peak of run_sweep 2.57 MB (2.31 MB one coupling per block, 10.5 MB one
-#: block; the 2.1 MB Lanczos store is in each), peak RSS +1.6 % and run time
-#: -27 %.  With the states held apart rather than in one array, 320 KiB gave
-#: the same RSS and -25 %.  At N = 400 that array cost 3.5 % in RSS and 4 % in
-#: time, so a block of one coupling holds its states as they are made.
+#: vector per row as its solve returns it: 9 couplings with both sources at
+#: N = 50, one from N = 110.  The default N = 50 sweep on a 2-core VM with one
+#: BLAS thread, against one coupling per block: traced peak of a warm run_sweep
+#: 2.56 MiB against 2.27 MiB (10.58 MiB in one block; the 2.1 MB Lanczos store
+#: is in each), peak RSS 67.0 MB against 66.0 MB and run time 0.110 s against
+#: 0.150 s.
 _SWEEP_BLOCK_BYTES = 3 * 2**17
 
 
@@ -206,15 +205,12 @@ def _naming(config: SweepConfig, rows: list):
 
 def _sweep_block(config: SweepConfig, lams) -> list:
     """Records of a block of couplings, sources in canonical order: a solve
-    or a cat state per row, then _block_observables over the block's
-    states.  When that pass fails, it is made again row by row on the same
-    states, so the first failing row names itself."""
+    or a cat state per row, each kept as it is returned, then
+    _block_observables over the block's states.  When that pass fails, it
+    is made again row by row on the same states, so the first failing row
+    names itself."""
     n = config.n_particles
     basis, rows, states = shared_basis(n, 3), [], []
-    # several couplings' states become read-only rows of one array allocated
-    # before the solves: held apart, they pin the heap between Lanczos stores
-    size = (len(lams) * len(config.sources), basis.dim)
-    held = np.empty(size, dtype=np.complex128) if len(lams) > 1 else None
     with _naming(config, rows):
         for lam in lams:
             params = LmgParams(n_particles=n, epsilon=config.epsilon, lam=lam)
@@ -227,9 +223,6 @@ def _sweep_block(config: SweepConfig, lams) -> list:
                     result = ground_state(params)
                     state = result.state
                     rows[-1]["energy"] = result.energy if "energy" in config.observables else None
-                if held is not None:
-                    held[len(states)] = state.coeffs
-                    state = SymmetricState(basis, _frozen(held[len(states)]))
                 states.append(state)
     try:
         _block_observables(config, rows, states)
@@ -334,14 +327,19 @@ def render_records(records, fmt: str = "csv") -> str:
     return _render_rows(CSV_COLUMNS, rows, fmt)
 
 
-def write_records(records, path, fmt: str = "csv") -> None:
-    """Write the table, then re-read the file and validate its schema."""
-    text = render_records(records, fmt)
+def _write_table(path, text: str) -> None:
+    """The one write step of every table file: an OSError becomes a
+    ConfigError naming the file that could not be written."""
     try:
         with open(path, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
+
+
+def write_records(records, path, fmt: str = "csv") -> None:
+    """Write the table, then re-read the file and validate its schema."""
+    _write_table(path, render_records(records, fmt))
     validate_table(path, fmt)
 
 
@@ -589,19 +587,9 @@ def write_surface(config: SurfaceConfig, path, fmt: str = "csv") -> str:
     header = ("x", "y", "value") if cfg.coords == "xy" else ("alpha", "beta", "value")
     rows = surface_table(cfg)
     sidecar = f"{path}.stationary.{fmt}"
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(_render_rows(header, rows, fmt))
-        with open(sidecar, "w", encoding="utf-8", newline="") as handle:
-            handle.write(
-                _render_rows(
-                    ("lambda", "alpha0", "beta0"),
-                    stationary_table(cfg.epsilon),
-                    fmt,
-                )
-            )
-    except OSError as exc:
-        raise ConfigError(f"cannot write {path}: {exc}") from exc
+    _write_table(path, _render_rows(header, rows, fmt))
+    stationary = stationary_table(cfg.epsilon)
+    _write_table(sidecar, _render_rows(("lambda", "alpha0", "beta0"), stationary, fmt))
     kind = {"energy": None, "squeezing_total": "nonneg"}.get(cfg.observable, "unit")
     try:  # one pass; only a failing table formats where its first bad cell is
         check_ranges(np.array([value for _, _, value in rows]), kind, str(path))
