@@ -24,7 +24,7 @@ from dataclasses import fields
 
 import numpy as np
 
-from .basis import SymmetricBasis, expval_tables
+from .basis import expval_tables, shared_basis
 from .errors import CapacityError, ConfigError, EmptySectorError, IntegrityError, check_integer
 from .lmg import LmgParams, stationary_point, thermo_energy
 from .rdm import (
@@ -245,7 +245,7 @@ def _cmd_phase(args) -> int:
 
 
 def _state_and_closed_tables(args):
-    basis = SymmetricBasis(args.n, args.levels)
+    basis = shared_basis(args.n, args.levels)
     if args.kind == "nodon":
         phases = _parse_floats(args.phases) if args.phases is not None else None
         if phases is not None and len(phases) != args.levels:

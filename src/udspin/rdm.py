@@ -13,9 +13,11 @@ symmetric sector:
   states satisfy rho2 = kron(rho1, rho1).
 
 A brute-force partial trace over the full D**N tensor product is
-included as a small-system oracle.  Entropy reports use normalized
-linear entropies, prefactor d_eff/(d_eff - 1), and von Neumann entropies
-in base d_eff, so every entropy lies in [0, 1].
+included as a small-system oracle.  Entropies follow one rule, applied in
+one array pass to a stack of spectra (a single spectrum is the one-row
+case): eigenvalues within 1e-8 of [0, 1], normalized linear entropies,
+prefactor d_eff/(d_eff - 1), and von Neumann entropies in base d_eff, so
+every entropy lies in [0, 1].
 """
 
 from __future__ import annotations
@@ -224,58 +226,52 @@ _EIG_CLIP = 1e-10
 _EIG_FAIL = 1e-8
 
 
-def _effective_dim(kind: str, n_particles: int, n_levels: int) -> int:
-    if kind == "level":
-        return n_particles + 1
-    if kind == "one_atom":
-        return n_levels
-    if kind == "two_atom":
-        return n_levels**2
-    raise ValueError(f"unknown reduction kind {kind!r}")
-
-
-def _linear_entropy(w, kind: str, n_particles: int, n_levels: int, check):
-    """The rule both entropy functions share, on the last axis of w, with
-    check_range for one spectrum or check_ranges for a stack: eigenvalues
-    within 1e-8 of [0, 1]; the clipped w, purity, linear entropy and log d_eff."""
-    check(w.min(axis=-1), "unit", "reduced-density-matrix eigenvalue", _EIG_FAIL)
-    check(w.max(axis=-1), "unit", "reduced-density-matrix eigenvalue", _EIG_FAIL)
-    w = np.clip(w, 0.0, 1.0)  # roundoff negatives above -1e-8 snap to zero
-    d_eff = _effective_dim(kind, n_particles, n_levels)
+def _entropy_rows(w, kind: str, n_particles: int, n_levels: int):
+    """The one entropy rule, on each spectrum along the last axis of w:
+    eigenvalues within 1e-8 of [0, 1], roundoff negatives snapped to zero;
+    the purity and the checked linear and von Neumann entropies."""
+    w = np.ascontiguousarray(w, dtype=np.float64)
+    check_ranges(w.min(axis=-1), "unit", "reduced-density-matrix eigenvalue", _EIG_FAIL)
+    check_ranges(w.max(axis=-1), "unit", "reduced-density-matrix eigenvalue", _EIG_FAIL)
+    w = np.clip(w, 0.0, 1.0)
+    d_eff = {"level": n_particles + 1, "one_atom": n_levels, "two_atom": n_levels**2}.get(kind)
+    if d_eff is None:
+        raise ValueError(f"unknown reduction kind {kind!r}")
     purity = np.add.reduce(w**2, axis=-1)
-    linear = check(d_eff / (d_eff - 1.0) * (1.0 - purity), "unit", "linear entropy", _ROUNDOFF)
-    return w, purity, linear, math.log(d_eff)
+    linear = d_eff / (d_eff - 1.0) * (1.0 - purity)
+    linear = check_ranges(linear, "unit", "linear entropy", _ROUNDOFF)
+    terms = w * np.log(np.where(w > _EIG_CLIP, w, 1.0))  # log 1 = 0: dropped
+    # 0.0 - s rather than -s: a pure state's entropy is +0.0, not -0.0
+    von_neumann = 0.0 - np.add.reduce(terms, axis=-1) / math.log(d_eff)
+    return purity, linear, check_ranges(von_neumann, "unit", "von Neumann entropy", _ROUNDOFF)
 
 
-def spectrum_entropies(
-    weights, kind: str, n_particles: int, n_levels: int
-) -> EntropyReport:
-    """Entropy report from an eigenvalue spectrum (need not be sorted)."""
+def spectrum_entropies(weights, kind: str, n_particles: int, n_levels: int) -> EntropyReport:
+    """Entropy report from an eigenvalue spectrum (need not be sorted): the
+    one-row case of linear_entropies."""
     w = np.asarray(weights, dtype=np.float64).ravel()
-    w, purity, linear, log_d = _linear_entropy(w, kind, n_particles, n_levels, check_range)
-    nz = w[w > _EIG_CLIP]
-    # the + 0.0 turns an exact -0.0 (pure state) into +0.0
-    von_neumann = float(-(nz * np.log(nz)).sum() / log_d) + 0.0
-    return EntropyReport(
-        purity=float(purity),
-        linear=linear,
-        von_neumann=check_range(von_neumann, "unit", "von Neumann entropy", _ROUNDOFF),
-    )
+    return EntropyReport(*map(float, _entropy_rows(w, kind, n_particles, n_levels)))
 
 
 def linear_entropies(spectra, kind: str, n_particles: int, n_levels: int) -> np.ndarray:
-    """spectrum_entropies(row).linear for each row of a stack of spectra, bit
-    for bit, with its checks, in one array pass."""
-    w = np.ascontiguousarray(spectra, dtype=np.float64)
-    w, _, linear, log_d = _linear_entropy(w, kind, n_particles, n_levels, check_ranges)
-    terms = w * np.log(np.where(w > _EIG_CLIP, w, 1.0))  # log 1 = 0: dropped
-    check_ranges(-np.add.reduce(terms, axis=-1) / log_d, "unit", "von Neumann entropy", _ROUNDOFF)
-    return linear
+    """spectrum_entropies(row).linear for each row of a stack of spectra, in
+    one array pass."""
+    return _entropy_rows(spectra, kind, n_particles, n_levels)[1]
+
+
+def _spectra(rho: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a Hermitian matrix, or a stack of them, in one call.  A
+    matrix with a non-finite entry gets a NaN spectrum, which the entropy
+    rule rejects at its own row, instead of failing the whole call."""
+    finite = np.isfinite(rho).all(axis=(-2, -1))
+    w = np.linalg.eigvalsh(np.where(finite[..., None, None], rho, 0.0))
+    w[~finite] = np.nan
+    return w
 
 
 def entropies(rho, kind: str, n_particles: int, n_levels: int) -> EntropyReport:
     """Entropy report for a reduced density matrix (assumed Hermitian)."""
-    w = np.linalg.eigvalsh(np.asarray(rho, dtype=np.complex128))
+    w = _spectra(np.asarray(rho, dtype=np.complex128))
     return spectrum_entropies(w, kind, n_particles, n_levels)
 
 

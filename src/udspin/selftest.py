@@ -23,6 +23,7 @@ from .basis import (
     dimension,
     expval_sij,
     expval_sij_skl,
+    shared_basis,
 )
 from .lmg import (
     LmgParams,
@@ -72,14 +73,14 @@ def _random_even_state(basis: SymmetricBasis, rng) -> SymmetricState:
 def _check_dimensions() -> None:
     for n, d, dim in ((1, 2, 2), (2, 3, 6), (10, 3, 66), (50, 3, 1326), (200, 3, 20301)):
         assert dimension(n, d) == dim, (n, d, dim, dimension(n, d))
-    basis = SymmetricBasis(6, 4)
+    basis = shared_basis(6, 4)
     for rank, occ in enumerate(basis.occupations):
         assert basis.rank(occ) == rank
 
 
 def _check_operator_algebra() -> None:
     rng = np.random.default_rng(_SEED)
-    basis = SymmetricBasis(5, 3)
+    basis = shared_basis(5, 3)
     state = _random_state(basis, rng)
     # adjointness <S_ij psi|phi> = <psi|S_ji phi>
     other = _random_state(basis, rng)
@@ -96,7 +97,7 @@ def _check_operator_algebra() -> None:
 def _check_surface_vs_states(kind: str, state_of, n: int) -> None:
     """A 2x2 surface of each moment observable, evaluated in one array pass
     over closed forms, against the state vector built at every node."""
-    basis = SymmetricBasis(n, 3)
+    basis = shared_basis(n, 3)
     direct_of = {
         "one_atom": lambda state: entropies(one_qudit_rdm(state), "one_atom", n, 3).linear,
         "two_atom": lambda state: entropies(two_qudit_rdm(state), "two_atom", n, 3).linear,
@@ -113,7 +114,7 @@ def _check_surface_vs_states(kind: str, state_of, n: int) -> None:
 
 
 def _check_coherent_moments() -> None:
-    basis = SymmetricBasis(8, 3)
+    basis = shared_basis(8, 3)
     z = (1.0, 0.6 - 0.3j, 0.2 + 0.5j)
     state = dscs(basis, z)
     closed, _ = dscs_expval_tables(z, 8)
@@ -126,7 +127,7 @@ def _check_coherent_moments() -> None:
 
 
 def _check_cat_moments() -> None:
-    basis = SymmetricBasis(7, 3)
+    basis = shared_basis(7, 3)
     z = (1.0, 0.8, 0.45)
     cat = dcat(basis, z)
     _, closed = dcat_expval_tables(z, 7)
@@ -141,7 +142,7 @@ def _check_cat_moments() -> None:
 
 
 def _check_nodon_values() -> None:
-    basis = SymmetricBasis(9, 3)
+    basis = shared_basis(9, 3)
     state = nodon(basis)
     rho1 = one_qudit_rdm(state)
     assert np.allclose(rho1, np.eye(3) / 3.0, atol=1e-12)
@@ -152,7 +153,7 @@ def _check_nodon_values() -> None:
 
 def _check_rdm_oracle() -> None:
     rng = np.random.default_rng(_SEED + 1)
-    basis = SymmetricBasis(5, 3)
+    basis = shared_basis(5, 3)
     # a generic state takes the Gram route, a parity-definite one the sector route
     for state in (_random_state(basis, rng), _random_even_state(basis, rng)):
         rho2 = two_qudit_rdm(state)
@@ -162,7 +163,7 @@ def _check_rdm_oracle() -> None:
 
 def _check_squeezing_reduction() -> None:
     rng = np.random.default_rng(_SEED + 2)
-    basis = SymmetricBasis(6, 2)
+    basis = shared_basis(6, 2)
     state = _random_even_state(basis, rng)
     a = xi_total(state)
     b = su2_xi(state)
@@ -170,7 +171,7 @@ def _check_squeezing_reduction() -> None:
 
 
 def _check_hamiltonian_sector() -> None:
-    basis = SymmetricBasis(9, 3)
+    basis = shared_basis(9, 3)
     idx = even_sector_indices(basis)
     for lam in (0.3, 1.2, 2.5):  # one coupling per phase
         params = LmgParams(n_particles=9, lam=lam)

@@ -42,6 +42,7 @@ from .lmg import (
     variational_cat,
 )
 from .rdm import (
+    _spectra,
     level_populations,
     level_weights,
     linear_entropies,
@@ -121,8 +122,11 @@ def default_lambda_grid(epsilon: float = 1.0) -> tuple[float, ...]:
     """121 evenly spaced couplings on [0, 6*epsilon], criticals exact.
 
     The grid values nearest epsilon/2 and 3*epsilon/2 are snapped to
-    those exact floats so both phase boundaries are always sampled.
+    those exact floats so both phase boundaries are always sampled.  An
+    epsilon whose 6*epsilon is past the float range raises ConfigError.
     """
+    if not math.isfinite(6.0 * float(epsilon)):
+        raise ConfigError(f"epsilon {epsilon!r} puts the default grid end past the float range")
     grid = np.linspace(0.0, 6.0 * epsilon, 121)
     for exact in (0.5 * epsilon, 1.5 * epsilon):
         grid[int(np.argmin(np.abs(grid - exact)))] = exact
@@ -252,12 +256,9 @@ def _block_observables(config: SweepConfig, rows: list, states: list) -> None:
     if levels:
         pops = np.stack([level_populations(states, i) for i in levels])
         columns.update(zip((f"L_level_{i}" for i in levels), linear_entropies(pops, "level", n, d)))
-    if "one_atom" in want:
-        rho = one_qudit_rdm_from_tables(S, n)
-        columns["L1_atom"] = linear_entropies(_spectra(rho), "one_atom", n, d)
-    if "two_atom" in want:
-        rho = two_qudit_rdm_from_tables(S, Q, n)
-        columns["L2_atom"] = linear_entropies(_spectra(rho), "two_atom", n, d)
+    for kind, name in (("one_atom", "L1_atom"), ("two_atom", "L2_atom")):
+        if kind in want:
+            columns[name] = _atom_entropies(S, Q, n, kind)
     if want & {"squeezing_total", "squeezing_pairs"}:
         report = squeezing_report_from_tables(Q, n)
         if "squeezing_total" in want:
@@ -267,6 +268,16 @@ def _block_observables(config: SweepConfig, rows: list, states: list) -> None:
     for name, column in columns.items():
         for row, value in zip(rows, column.tolist()):
             row[name] = value
+
+
+def _atom_entropies(S, Q, n: int, kind: str) -> np.ndarray:
+    """Linear entropies of the one_atom or two_atom reduction of each state
+    of a stack, from its three-level moment tables, in one eigvalsh call."""
+    if kind == "one_atom":
+        rho = one_qudit_rdm_from_tables(S, n)
+    else:
+        rho = two_qudit_rdm_from_tables(S, Q, n)
+    return linear_entropies(_spectra(rho), kind, n, 3)
 
 
 def run_sweep(config: SweepConfig) -> list:
@@ -449,6 +460,7 @@ class SurfaceConfig:
         check_integer(self.n_particles, 3, None, "n_particles", ConfigError)
         if not (math.isfinite(self.epsilon) and self.epsilon > 0):
             raise ConfigError("epsilon must be positive and finite")
+        default_lambda_grid(self.epsilon)  # the sidecar's grid
         if not (math.isfinite(self.lam) and self.lam >= 0):
             raise ConfigError(f"lam must be finite and >= 0, got {self.lam!r}")
         if self.kind not in SURFACE_KINDS:
@@ -474,16 +486,6 @@ class SurfaceConfig:
         return self
 
 
-def _spectra(rho: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a stack of Hermitian matrices in one call.  A matrix
-    with a non-finite entry gets a NaN spectrum, which linear_entropies
-    rejects at its own node, instead of failing the whole call."""
-    finite = np.isfinite(rho).all(axis=(-2, -1))
-    w = np.linalg.eigvalsh(np.where(finite[..., None, None], rho, 0.0))
-    w[~finite] = np.nan
-    return w
-
-
 #: Nodes per array pass, which holds (nodes, D^4) complex tables or the
 #: (nodes, 2^(D-2), N+1) cat level terms.  On the 41x41 N = 100 dcat grid the
 #: traced peak of surface_table is 0.55 MB for two_atom and 0.59 MB for
@@ -506,11 +508,7 @@ def _block_values(config: SurfaceConfig, a: np.ndarray, b: np.ndarray) -> np.nda
         S, Q = tables(z, n)
         if observable == "squeezing_total":
             return squeezing_report_from_tables(Q, n).total
-        if observable == "one_atom":
-            rho = one_qudit_rdm_from_tables(S, n)
-        else:
-            rho = two_qudit_rdm_from_tables(S, Q, n)
-        return linear_entropies(_spectra(rho), observable, n, 3)
+        return _atom_entropies(S, Q, n, observable)
     level, power = int(observable[-1]), 2
     if config.coords == "xy":  # the chosen level's weight and the others' summed weight
         level, z, power = 1, np.stack([a, b], axis=-1), 1
