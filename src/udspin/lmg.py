@@ -15,24 +15,20 @@ build_hamiltonian.  Each sector keeps the CSR pattern of H as scipy's
 sparse subtraction lays it out; every coupling writes its entries into a
 fresh data array on it, bit for bit what scipy's arithmetic gives.
 Every sector, full space and the single-state sector at N = 3 included,
-goes through one solver: Lanczos (eigsh here, lowest eigenvalue) without
-reorthogonalization, updating preallocated vectors in place and
-replaying, bit for bit, those that do not fit its 2 MiB block.
-Convergence checks call LAPACK's tridiagonal bisection and inverse
-iteration directly.  Lanczos starts from the coherent state at the
+goes through one solver, eigsh: Lanczos without reorthogonalization for the
+lowest pair, of one H or of a stack of them, as a sweep block solves its
+couplings in one pass.  Lanczos starts from the coherent state at the
 mean-field minimizer on the sector's rows -- the variational cat on the
 even sector -- or from the uniform vector where that restriction
 vanishes.  It draws no random vector and sums with numpy rather than
-BLAS, so a row depends only on (N, lam, eps), not on grid order, workers
-or BLAS threads.  Importing the module loads no scipy: the functions
-that assemble H or solve import scipy.sparse, and the kernels eigsh
-calls (scipy's CSR product csr_matvec, LAPACK's dstebz and dstein) are
-bound as module attributes on first use and read through the module, so
-a replacement bound there is what runs.  A solve that does not converge
-within a fixed step cap, or whose pair misses ||Hv - Ev|| <= 1e-10
-(eps + lam), raises IntegrityError naming N, lam and the sector; one whose
-start or H is not finite, or whose tridiagonal gives a NaN residual
-estimate, raises ValueError naming them.
+BLAS, so a row depends only on (N, lam, eps), not on grid order, stacks,
+workers or BLAS threads.  Importing the module loads no scipy: the
+functions that assemble H or solve import scipy.sparse, and the kernels
+eigsh calls are bound on first use (see __getattr__).  A solve that does
+not converge within a fixed step cap, or whose pair misses ||Hv - Ev|| <=
+1e-10 (eps + lam), raises IntegrityError naming N, lam and the sector; one
+whose start or H is not finite, or whose tridiagonal gives a NaN residual
+estimate, raises ValueError naming them (in a stack, the sector only).
 
 Closed forms implemented alongside the numerics: the mean-field energy
 surface over coherent states (1, alpha, beta), its stationary points,
@@ -46,7 +42,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import permutations
 from typing import TYPE_CHECKING
@@ -102,8 +98,8 @@ _LANCZOS_CHECK_EVERY = 10
 # measured at N <= 2000 took at most 261
 _LANCZOS_MAX_STEPS = 2000
 
-# eigsh keeps as many Lanczos vectors as fit in this many float64s (2 MiB)
-# and replays the rest from the last two kept
+# eigsh keeps as many steps of Lanczos vectors (a vector per matrix of its
+# stack) as fit in this many float64s (2 MiB), and replays the rest
 _KRYLOV_STORE_FLOATS = 2**18
 
 _SECTOR_FORMS = "sector must be 'even', 'full' or a pair of 0/1 parities for levels 2 and 3"
@@ -243,64 +239,83 @@ def _lowest_ritz(alphas, off):
 
 def eigsh(ham, *, k=1, which="SA", v0):
     """Lowest eigenpair of the real symmetric `ham` by Lanczos, in scipy's
-    eigsh shape: eigenvalues (1,) and eigenvectors (dim, 1).
+    eigsh shape: eigenvalues (1,) and eigenvectors (dim, 1).  Given a list
+    of B matrices of one dimension and v0 of shape (B, dim), it solves them
+    as one stack and returns a list: each matrix's pair, or the error its
+    one-matrix call raises.  A one-matrix call is the stack of one.
 
     The three-term recurrence runs without reorthogonalization, with
     in-place updates and numpy's pairwise sums rather than BLAS ddot, whose
-    threaded split reorders them with the BLAS thread count.  It keeps
-    alpha_k = q_k.H q_k and beta_k, and every _LANCZOS_CHECK_EVERY steps
-    takes the lowest pair (theta, y) of the tridiagonal T; it stops once
-    |beta_m y_m| <= _LANCZOS_TOL ||T||, with ||T|| bounded by Gershgorin.
-    A vanishing beta (the start spans an invariant subspace, as the cat
-    start |N,0,0> at lam = 0 or a one-state sector) gives an exact Ritz
-    pair.  The Ritz vector sums the Lanczos vectors kept in a block of
-    _KRYLOV_STORE_FLOATS (2 MiB), as many as fit; a vector past it is
-    rebuilt from the two before it by the first pass's own step routine,
-    given the stored alpha and beta, so it is the same bit for bit.  On
-    the default grid nothing is replayed up to N = 100 (sector dim 1326,
-    at most 90 steps); N = 200 keeps 50 vectors of 90 at the median,
-    N = 400 12 of 120.  Orthogonality is lost
-    only as Ritz values converge (Paige 1972), so the lowest pair stays
-    reliable without reorthogonalization.
+    threaded split reorders them with the BLAS thread count.  Every
+    _LANCZOS_CHECK_EVERY steps it takes the lowest pair (theta, y) of the
+    tridiagonal T of its alphas and betas, and it stops once |beta_m y_m| <=
+    _LANCZOS_TOL ||T||, ||T|| bounded by Gershgorin; a vanishing beta (the
+    start spans an invariant subspace, as the cat start |N,0,0> at lam = 0
+    does) gives an exact pair.  Orthogonality is lost only as Ritz values
+    converge (Paige 1972), so the lowest pair stays reliable.  A stack runs
+    its recurrences side by side: per step one product with its
+    block-diagonal matrix, and one numpy call per vector update and per
+    row-wise sum, which sums each row as a 1-D vector is summed.  A row
+    keeps its own checks and stopping step, and once stopped, converged or
+    failed, stays in the stack as a zero row.  The Ritz vectors sum the
+    Lanczos vectors kept in a block of _KRYLOV_STORE_FLOATS (2 MiB), as many
+    steps of the stack as fit (no default sweep up to N = 100 needs more); a
+    step past it is rebuilt from the two before it by the first pass's own
+    step routine.  So each pair has the bytes of its one-matrix call.
 
-    `ham` is taken as a float64 CSR matrix (one already is used as it is)
-    and must match v0, since the product kernel checks no bounds.  A zero
-    or non-finite v0, a NaN or infinite alpha or beta (from a non-finite
-    ham), or a NaN residual estimate (LAPACK's tridiagonal solve overflows
-    on entries past about 1e154) raises ValueError; LAPACK failing on the
-    tridiagonal raises LinAlgError.  A solve still short of convergence
-    after _LANCZOS_MAX_STEPS steps raises IntegrityError.
-
-    The kernels are bound on first use (see __getattr__) and read through
-    the module, csr_matvec once per call and dstebz/dstein at each check,
-    so a kernel replaced there is the one that runs.
+    `ham` is taken as float64 CSR (one already is used as it is) and must
+    match v0, since the product kernel checks no bounds.  A zero or
+    non-finite v0, a NaN or infinite alpha or beta (from a non-finite ham)
+    or a NaN residual estimate (LAPACK's tridiagonal solve overflows on
+    entries past about 1e154) is a ValueError, LAPACK failing on the
+    tridiagonal a LinAlgError, and a solve still short of convergence after
+    _LANCZOS_MAX_STEPS steps an IntegrityError.  The kernels csr_matvec (once
+    per call) and dstebz/dstein (at each check) are read through the module.
     """
     import scipy.sparse as sp
 
     if k != 1 or which != "SA":
         raise ValueError("only the lowest eigenpair (k=1, which='SA') is computed")
-    ham = sp.csr_matrix(ham, dtype=np.float64)  # no copy of a float64 CSR
+    stacked = isinstance(ham, list)
+    hams = [sp.csr_matrix(h, dtype=np.float64) for h in (ham if stacked else [ham])]  # no copy
     v0 = np.asarray(v0, dtype=np.float64)
-    dim = v0.size
-    if ham.shape != (dim, dim) or v0.shape != (dim,):
-        raise ValueError(f"need a square ham matching v0, got {ham.shape} and {v0.shape}")
-    norm = math.sqrt(np.add.reduce(v0 * v0))
-    if not 0.0 < norm < math.inf:
-        raise ValueError(f"v0 must be finite and nonzero, got norm {norm!r}")
-    csr = (dim, dim, ham.indptr, ham.indices, ham.data)
+    starts = v0 if stacked else v0[None]
+    rows, dim = len(hams), starts.shape[-1]
+    if starts.shape != (rows, dim) or any(h.shape != (dim, dim) for h in hams):
+        shapes = [h.shape for h in hams]
+        raise ValueError(f"need a square ham matching v0, got {shapes} and {v0.shape}")
+    if rows == 1:
+        csr = (dim, dim, hams[0].indptr, hams[0].indices, hams[0].data)
+    else:  # one block-diagonal matrix, whose row block r is H_r
+        nnz = np.cumsum([0] + [h.nnz for h in hams])
+        indices = np.concatenate([h.indices + r * dim for r, h in enumerate(hams)])
+        indptr = np.concatenate([h.indptr[:-1] + n for h, n in zip(hams, nnz)] + [nnz[-1:]])
+        data = np.concatenate([h.data for h in hams])
+        csr = (rows * dim, rows * dim, indptr.astype(indices.dtype), indices, data)
     csr_matvec = _MODULE.csr_matvec  # what is bound there now, once per call
-    cap = max(2, min(_LANCZOS_MAX_STEPS, _KRYLOV_STORE_FLOATS // dim))
-    store, spare = np.empty((cap, dim)), np.empty((2, dim))
+    cap = max(2, min(_LANCZOS_MAX_STEPS, _KRYLOV_STORE_FLOATS // (rows * dim)))
+    # a vector holds a row per matrix, and a coefficient (alpha_k, beta_k or
+    # y_k) is a column that scales them; one matrix keeps 1-D vectors and
+    # scalar coefficients, as numpy runs those with least overhead
+    wide = rows > 1
+    shape, column = ((rows, dim), (rows, 1)) if wide else ((dim,), ())
+    starts, stops, outcomes = starts.reshape(shape), [math.inf] * rows, [None] * rows
+    norms = np.sqrt(np.add.reduce(starts * starts, axis=-1, keepdims=True))
+    for r, norm in enumerate(norms.reshape(rows).tolist()):
+        if not 0.0 < norm < math.inf:  # refused: its row is zero from q_0 on
+            outcomes[r] = ValueError(f"v0 must be finite and nonzero, got norm {norm!r}")
+            stops[r], norms.reshape(rows)[r] = 0, 1.0
+    store, spare = np.empty((cap, *shape)), np.empty((2, *shape))
+    w, tmp = np.empty(shape), np.empty(shape)
+    alphas, betas, ys = np.zeros((3, _LANCZOS_MAX_STEPS + 1, *column))
+    alpha_rows, beta_rows, y_rows = (c.reshape(-1, rows) for c in (alphas, betas, ys))
 
     def lanczos_vector(step):
         # q_step: stored while it fits, else one of two rotating vectors
         return store[step] if step < cap else spare[step % 2]
 
-    w, tmp = np.empty(dim), np.empty(dim)
-    alphas, betas = np.empty(_LANCZOS_MAX_STEPS), np.zeros(_LANCZOS_MAX_STEPS + 1)
-
-    def lanczos_step(k, alpha=None):
-        # w = H q_k - beta_k q_{k-1} - alpha_k q_k; the replay passes alpha_k.
+    def lanczos_step(k, replay=False):
+        # w = H q_k - beta_k q_{k-1} - alpha_k q_k; the replay reads alpha_k.
         # H q_k goes through the kernel scipy's own product calls, into
         # zeros as it does, without its allocation and dispatch
         q = lanczos_vector(k)
@@ -309,52 +324,99 @@ def eigsh(ham, *, k=1, which="SA", v0):
         if k:  # q_{-1} = 0 would subtract +0.0, which changes no bit
             np.multiply(lanczos_vector(k - 1), betas[k], out=tmp)
             np.subtract(w, tmp, out=w)
-        if alpha is None:
+        if not replay:
             np.multiply(q, w, out=tmp)
-            alpha = float(np.add.reduce(tmp))
-        np.multiply(q, alpha, out=tmp)
+            alphas[k] = np.add.reduce(tmp, axis=-1, keepdims=wide)  # each row's pairwise sum
+        np.multiply(q, alphas[k], out=tmp)
         np.subtract(w, tmp, out=w)
-        return alpha
 
-    np.divide(v0, norm, out=store[0])
-    steps, beta, norm_t = 0, 0.0, 0.0
-    while True:
-        alpha = lanczos_step(steps)
+    def clear_stopped(step, x):
+        # a row that has stopped by q_step is zero from q_step on: its row of
+        # x, which q_step is made from, is cleared and its beta set to 1
+        stopped = [r for r in range(rows) if stops[r] <= step]
+        if stopped:
+            x.reshape(rows, dim)[stopped], beta_rows[step, stopped] = 0.0, 1.0
+
+    np.divide(starts, norms, out=store[0])
+    clear_stopped(0, store[0])
+    steps, live = 0, [r for r in range(rows) if stops[r]]
+    norm_t, beta_prev = [0.0] * rows, [0.0] * rows
+    while live:
+        lanczos_step(steps)
         np.multiply(w, w, out=tmp)
-        beta_next = math.sqrt(np.add.reduce(tmp))
-        if not (math.isfinite(alpha) and math.isfinite(beta_next)):
-            raise ValueError(
-                f"Lanczos step {steps + 1} gave alpha {alpha!r}, beta {beta_next!r}: ham is not finite"
-            )
-        norm_t = max(norm_t, abs(alpha) + beta + beta_next)
-        alphas[steps], betas[steps + 1] = alpha, beta_next
-        steps, beta = steps + 1, beta_next
-        tol = _LANCZOS_TOL * norm_t
+        betas[steps + 1] = np.add.reduce(tmp, axis=-1, keepdims=wide)  # rooted row by row
+        steps += 1
         # in exact arithmetic the Krylov space is complete at step dim
         check = steps % _LANCZOS_CHECK_EVERY == 0 or steps in (dim, _LANCZOS_MAX_STEPS)
-        if check or not beta > tol:
-            theta, y = _lowest_ritz(alphas[:steps], betas[1 : max(steps, 2)])
-            estimate = beta * abs(y[-1, 0])
-            if estimate <= tol:
-                break
-            if math.isnan(estimate):  # LAPACK's tridiagonal solve overflowed
-                raise ValueError(f"Lanczos step {steps}: residual estimate nan, ham too large")
-            if steps >= _LANCZOS_MAX_STEPS:
-                raise IntegrityError(
-                    f"{steps} Lanczos steps failed to converge, residual estimate {estimate:.3e}"
+        step_alphas, squares = alpha_rows[steps - 1].tolist(), beta_rows[steps].tolist()
+        for r in live:
+            alpha, beta = step_alphas[r], math.sqrt(squares[r])
+            beta_rows[steps, r] = beta
+            if not (math.isfinite(alpha) and math.isfinite(beta)):
+                alpha_rows[steps - 1, r] = 0.0  # so a replay of the step multiplies no infinity
+                outcomes[r] = ValueError(
+                    f"Lanczos step {steps} gave alpha {alpha!r}, beta {beta!r}: ham is not finite"
                 )
-        np.divide(w, beta, out=lanczos_vector(steps))
-    vec = np.zeros(dim)
-    for step, coeff in enumerate(y[:, 0]):
+            else:
+                norm_t[r] = max(norm_t[r], abs(alpha) + beta_prev[r] + beta)
+                beta_prev[r], tol = beta, _LANCZOS_TOL * norm_t[r]
+                if check or not beta > tol:  # a converged row's y goes to y_rows
+                    tridiagonal = alpha_rows[:steps, r], beta_rows[1 : max(steps, 2), r]
+                    outcomes[r] = _ritz_check(*tridiagonal, beta, tol, y_rows[:steps, r])
+            if outcomes[r] is not None:
+                stops[r] = steps
+        live = [r for r in live if outcomes[r] is None]
+        if live:
+            if len(live) < rows:
+                clear_stopped(steps, w)
+            np.divide(w, betas[steps], out=lanczos_vector(steps))
+    vec = np.zeros(shape)  # only now: allocated earlier, it lifted the peak RSS at N = 400
+    for step in range(max(stops)):
         q = lanczos_vector(step)
         if step >= cap:  # past the store: replay the step that made q
-            lanczos_step(step - 1, alphas[step - 1])
+            lanczos_step(step - 1, replay=True)
+            if step >= min(stops):
+                clear_stopped(step, w)
             np.divide(w, betas[step], out=q)
-        np.multiply(q, coeff, out=tmp)
+        np.multiply(q, ys[step], out=tmp)
         vec += tmp
     np.multiply(vec, vec, out=tmp)
-    vec /= math.sqrt(np.add.reduce(tmp))
-    return theta, vec[:, None]
+    norms = np.sqrt(np.add.reduce(tmp, axis=-1, keepdims=True))
+    failed = [r for r, outcome in enumerate(outcomes) if isinstance(outcome, Exception)]
+    norms.reshape(rows)[failed] = 1.0  # their rows of vec are zero
+    vec /= norms
+    for r, v in enumerate(vec.reshape(rows, dim)):
+        outcomes[r] = outcomes[r] if r in failed else (outcomes[r], v[:, None])
+    return outcomes if stacked else _only(outcomes)
+
+
+def _ritz_check(alphas, off, beta, tol, y_out):
+    """The convergence check at step m = alphas.size: the lowest Ritz value
+    of the tridiagonal (alphas, off), its vector y written to y_out, once
+    |beta y_m| <= tol; the error that ends the solve; or None to go on."""
+    try:
+        theta, y = _lowest_ritz(alphas, off)
+    except LinAlgError as exc:
+        return exc
+    estimate, steps = beta * abs(y[-1, 0]), alphas.size
+    if estimate <= tol:
+        y_out[:] = y[:, 0]
+        return theta
+    if math.isnan(estimate):  # LAPACK's tridiagonal solve overflowed
+        return ValueError(f"Lanczos step {steps}: residual estimate nan, ham too large")
+    if steps >= _LANCZOS_MAX_STEPS:
+        return IntegrityError(
+            f"{steps} Lanczos steps failed to converge, residual estimate {estimate:.3e}"
+        )
+    return None
+
+
+def _only(outcomes):
+    """The outcome of a stack of one, raised if it is an error."""
+    (outcome,) = outcomes
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 def build_hamiltonian(basis: SymmetricBasis, params: LmgParams) -> sp.csr_matrix:
@@ -385,11 +447,14 @@ def _sector_structure(n_particles: int, parities):
     return (sector.rows, sector.ranks, *_assemble(sector.rows, sector.moves.values()))
 
 
-def ground_state(params: LmgParams, sector="even") -> GroundStateResult:
+def ground_state(params: LmgParams, sector="even", *, lams=None):
     """Lowest eigenpair of H, restricted to a parity sector.
 
     sector: "even" (default, where the ground state lives), "full", or a
     pair of 0/1 parities for levels 2 and 3, for degeneracy studies.
+    lams: couplings solved at the N and epsilon of params as one Lanczos
+    stack (see eigsh); the result is then a list, per coupling its result or
+    the error its solve or residual check gave, naming only the sector.
     """
     n = params.n_particles
     basis = shared_basis(n, 3)
@@ -401,35 +466,49 @@ def ground_state(params: LmgParams, sector="even") -> GroundStateResult:
             raise ValueError(f"{_SECTOR_FORMS}, got {sector!r}")
         key = tuple(check_integer(p, 0, 1, f"{_SECTOR_FORMS}: parity") for p in parities)
         rows = basis.sector_rows(key)
-    where = f"N={n}, lam={params.lam!r}, sector={sector!r}"
-    ham = _hamiltonian(params, key)
-    point = stationary_point(params)
-    z0 = np.array([1.0, point.alpha0, point.beta0], dtype=np.complex128)
-    v0 = _coherent_amplitudes(rows, z0).real
-    if not v0.any():
-        v0 = np.full(rows.ranks.size, 1.0 / math.sqrt(rows.ranks.size))
-    try:
-        eigvals, eigvecs = eigsh(ham, k=1, which="SA", v0=v0)
-    except (IntegrityError, ValueError) as exc:  # no convergence, values out of range, LAPACK
-        raise type(exc)(f"eigensolver failed at {where}: {exc}") from exc
-    energy, vec = float(eigvals[0]), eigvecs[:, 0]
-    misfit = ham @ vec - energy * vec
-    residual = math.sqrt((misfit * misfit).sum())  # numpy's sum, not BLAS: see eigsh
-    if not residual <= _RESIDUAL_TOL * (params.epsilon + params.lam):  # NaN fails
-        raise IntegrityError(f"eigenpair residual {residual:.3e} at {where}")
-    del ham, misfit  # freed before the full-space vectors below
-    full = np.zeros(basis.dim, dtype=np.complex128)
-    full[rows.ranks] = vec
-    # deterministic sign: largest-magnitude coefficient made positive
-    pivot = int(np.argmax(np.abs(full)))
-    if full[pivot].real < 0:
-        np.negative(full, out=full)
-    # <Pi_j> = sum over the solved rows of (-1)^(n_j) |c|^2
-    weights = vec * vec
-    odd = (rows.rows % 2 == 1).T
-    signature = np.array([np.add.reduce(np.where(o, -weights, weights)) for o in odd])
-    state = SymmetricState(basis, _frozen(full))
-    return GroundStateResult(energy=energy, state=state, parity_signature=signature)
+    stack = [params] if lams is None else [replace(params, lam=lam) for lam in lams]
+    where = f"sector={sector!r}"  # a stack's caller names each coupling itself
+    where = f"at N={n}, lam={params.lam!r}, {where}" if lams is None else f"in {where}"
+    hams, starts = [_hamiltonian(p, key) for p in stack], []
+    for p in stack:
+        point = stationary_point(p)
+        z0 = np.array([1.0, point.alpha0, point.beta0], dtype=np.complex128)
+        v0, size = _coherent_amplitudes(rows, z0).real, rows.ranks.size
+        starts.append(v0 if v0.any() else np.full(size, 1.0 / math.sqrt(size)))
+    if len(stack) != 1:  # a list of its own: hams is emptied as the pairs are checked
+        pairs = eigsh(list(hams), k=1, which="SA", v0=np.array(starts))
+    else:
+        try:
+            pairs = [eigsh(hams[0], k=1, which="SA", v0=starts[0])]
+        except (IntegrityError, ValueError) as exc:  # no convergence, values out of range, LAPACK
+            pairs = [exc]
+    results = []
+    for p, pair in zip(stack, pairs):
+        ham = hams.pop(0)
+        if isinstance(pair, Exception):
+            results.append(type(pair)(f"eigensolver failed {where}: {pair}"))
+            results[-1].__cause__ = pair
+            continue
+        energy, vec = float(pair[0][0]), pair[1][:, 0]
+        misfit = ham @ vec - energy * vec
+        residual = math.sqrt((misfit * misfit).sum())  # numpy's sum, not BLAS: see eigsh
+        del ham, misfit  # freed before the full-space vectors below
+        if not residual <= _RESIDUAL_TOL * (p.epsilon + p.lam):  # NaN fails
+            results.append(IntegrityError(f"eigenpair residual {residual:.3e} {where}"))
+            continue
+        full = np.zeros(basis.dim, dtype=np.complex128)
+        full[rows.ranks] = vec
+        # deterministic sign: largest-magnitude coefficient made positive
+        pivot = int(np.argmax(np.abs(full)))
+        if full[pivot].real < 0:
+            np.negative(full, out=full)
+        # <Pi_j> = sum over the solved rows of (-1)^(n_j) |c|^2
+        weights = vec * vec
+        odd = (rows.rows % 2 == 1).T
+        signature = np.array([np.add.reduce(np.where(o, -weights, weights)) for o in odd])
+        state = SymmetricState(basis, _frozen(full))
+        results.append(GroundStateResult(energy=energy, state=state, parity_signature=signature))
+    return results if lams is not None else _only(results)
 
 
 def energy_surface(alpha, beta, params: LmgParams):

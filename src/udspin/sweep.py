@@ -188,11 +188,12 @@ class SweepConfig:
 
 #: Bytes of state coefficients a sweep block holds, one full-space complex
 #: vector per row as its solve returns it: 9 couplings with both sources at
-#: N = 50, one from N = 110.  The default N = 50 sweep on a 2-core VM with one
-#: BLAS thread, against one coupling per block: traced peak of a warm run_sweep
-#: 2.56 MiB against 2.27 MiB (10.58 MiB in one block; the 2.1 MB Lanczos store
-#: is in each), peak RSS 67.0 MB against 66.0 MB and run time 0.110 s against
-#: 0.150 s.
+#: N = 50, one from N = 110.  It also sets the Lanczos stack: a block solves
+#: its couplings as one stack, which shares the one 2 MiB Krylov store.  The
+#: default N = 50 sweep on a 2-core VM with one BLAS thread, against one
+#: coupling per block: a warm run_sweep in 0.077 s against 0.163 s, peak RSS
+#: 69.1 MB against 66.7 MB, traced peak 3.17 MiB against 2.23 MiB (16.1 MiB
+#: in one block).
 _SWEEP_BLOCK_BYTES = 3 * 2**17
 
 
@@ -208,23 +209,28 @@ def _naming(config: SweepConfig, rows: list):
 
 
 def _sweep_block(config: SweepConfig, lams) -> list:
-    """Records of a block of couplings, sources in canonical order: a solve
-    or a cat state per row, each kept as it is returned, then
-    _block_observables over the block's states.  When that pass fails, it
-    is made again row by row on the same states, so the first failing row
-    names itself."""
+    """Records of a block of couplings, sources in canonical order: one
+    stacked solve of the block's couplings and a cat state per row, each
+    state kept as it is returned, then _block_observables over the block's
+    states.  A coupling whose solve failed fails at its own row, so the
+    first failing row names itself; when the pass fails, it is made again
+    row by row on the same states, to the same end."""
     n = config.n_particles
     basis, rows, states = shared_basis(n, 3), [], []
+    params = LmgParams(n_particles=n, epsilon=config.epsilon, lam=lams[0])
+    solved = iter(ground_state(params, lams=lams) if "numerical" in config.sources else ())
     with _naming(config, rows):
         for lam in lams:
-            params = LmgParams(n_particles=n, epsilon=config.epsilon, lam=lam)
+            params = replace(params, lam=lam)
             point = stationary_point(params)
             for source in config.sources:
                 rows.append(dict(lam=lam, source=source, alpha0=point.alpha0, beta0=point.beta0))
                 if source == "variational":
                     state = variational_cat(basis, params)
                 else:
-                    result = ground_state(params)
+                    result = next(solved)
+                    if isinstance(result, Exception):
+                        raise result
                     state = result.state
                     rows[-1]["energy"] = result.energy if "energy" in config.observables else None
                 states.append(state)

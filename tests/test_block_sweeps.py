@@ -217,10 +217,12 @@ def test_failure_in_the_block_pass_names_its_row(monkeypatch):
 def test_failed_solve_mid_block_names_its_row(monkeypatch):
     target, real = 2.0, sweep.ground_state
 
-    def solve(params, *args):
-        if params.lam == target:
-            raise ValueError("injected solver failure")
-        return real(params, *args)
+    def solve(params, *args, lams):  # the block's stacked solve: one entry per coupling
+        results = real(params, *args, lams=lams)
+        return [
+            ValueError("injected solver failure") if lam == target else result
+            for lam, result in zip(lams, results)
+        ]
 
     monkeypatch.setattr(sweep, "ground_state", solve)
     with pytest.raises(ValueError) as info:
