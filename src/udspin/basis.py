@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import chain, combinations, permutations
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -196,8 +196,9 @@ class RowSet:
     invariants: rows = occupations[ranks], floats (the same rows as
     float64), half_log_mult = 0.5 (log N! - sum_i log n_i!) per row and,
     built on first use, moves[(i0, j0)] (i0 != j0), the (src, dst, amp)
-    table of S_ij**2 in row indices.  Arrays are read-only; no basis is
-    held, so a cached row set keeps no evicted basis alive."""
+    table of S_ij**2 in row indices, built for i0 < j0 and, for its adjoint
+    S_ji**2, the same arrays as (dst, src, amp).  Arrays are read-only; no
+    basis is held, so a cached row set keeps no evicted basis alive."""
 
     def __init__(self, rows: np.ndarray, ranks: np.ndarray, n_particles: int):
         from scipy.special import gammaln
@@ -211,9 +212,10 @@ class RowSet:
     def moves(self) -> dict:
         # S_ij**2 keeps every parity, so a sector's moves stay inside it
         moves = {}
-        for i0, j0 in permutations(range(self.rows.shape[1]), 2):
+        for i0, j0 in combinations(range(self.rows.shape[1]), 2):
             src, dst, amp = _moves(self.rows, i0, j0, 2)
-            moves[i0, j0] = src, np.searchsorted(self.ranks, dst), amp
+            src, dst, amp = map(_frozen, (src, np.searchsorted(self.ranks, dst), amp))
+            moves[i0, j0], moves[j0, i0] = (src, dst, amp), (dst, src, amp)
         return moves
 
 

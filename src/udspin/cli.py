@@ -9,10 +9,12 @@ state     entropy/squeezing report for one named state, with a
 surface   observable over a real grid of state labels -> table + sidecar
 selftest  built-in oracle suite
 
-A flat ``key=value`` config file can prefill any flag of the chosen
-subcommand: each entry is parsed as the flag ``--key=value``, ahead of
-the command line, so explicit command-line flags win.  Exit codes: 0 success,
-2 configuration/usage error, 3 numerical integrity failure.
+The sweep and surface flags of SweepConfig and SurfaceConfig fields are
+made from the fields: type, choices and, in the help, the default.  A flat
+``key=value`` config file can prefill any flag of the chosen subcommand:
+each entry is parsed as the flag ``--key=value``, ahead of the command
+line, so explicit command-line flags win.  Exit codes: 0 success, 2
+configuration/usage error, 3 numerical integrity failure.
 """
 
 from __future__ import annotations
@@ -64,24 +66,15 @@ __all__ = ["build_parser", "load_config", "main", "entry"]
 #: moment tables must agree to this absolute tolerance.
 STATE_CHECK_TOL = 1e-8
 
-def _split_list(text: str | None) -> tuple | None:
+def _parse_list(text: str | None, kind=str) -> tuple | None:
+    """A comma-separated flag's entries as kind, or None when not given."""
     if text is None:
-        return None  # flag not given
-    return tuple(part.strip() for part in text.split(",") if part.strip())
-
-
-def _parse_floats(text: str) -> tuple:
+        return None
     try:
-        return tuple(float(part) for part in _split_list(text))
+        return tuple(kind(part.strip()) for part in text.split(",") if part.strip())
     except ValueError as exc:
-        raise ConfigError(f"bad numeric list {text!r}: {exc}") from exc
-
-
-def _parse_complexes(text: str) -> tuple:
-    try:
-        return tuple(complex(part) for part in _split_list(text))
-    except ValueError as exc:
-        raise ConfigError(f"bad complex list {text!r}: {exc}") from exc
+        name = "numeric" if kind is float else "complex"
+        raise ConfigError(f"bad {name} list {text!r}: {exc}") from exc
 
 
 def load_config(path) -> dict:
@@ -102,6 +95,23 @@ def load_config(path) -> dict:
     return data
 
 
+#: The dest of each config field's flag that is not the field's own name.
+_DESTS = {"n_particles": "n"}
+_CHOICES = {"kind": SURFACE_KINDS, "coords": SURFACE_COORDS, "observable": SURFACE_OBSERVABLES}
+
+
+def _field_flags(sub, config) -> None:
+    """One flag per scalar field of a config dataclass, typed as the field's
+    default and left out as None; its config key is its dest."""
+    for field in fields(config):
+        if not isinstance(field.default, tuple):  # lambdas, sources, observables
+            key = _DESTS.get(field.name, field.name).replace("_", "-")
+            sub.add_argument(
+                f"--{key}", type=type(field.default), choices=_CHOICES.get(field.name),
+                help=f"config key {key} (default {field.default})",
+            )
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The udspin parser.  Flags left out parse as None where SweepConfig or
     SurfaceConfig holds the default, so None means "not given"."""
@@ -117,17 +127,13 @@ def build_parser() -> argparse.ArgumentParser:
         return sub
 
     sweep = command("sweep", "coupling sweep to a CSV/JSON table")
-    sweep.add_argument("--n", type=int, help="particle number (default 50)")
-    sweep.add_argument("--epsilon", type=float, help="level splitting (default 1)")
+    _field_flags(sweep, SweepConfig)
     sweep.add_argument("--lambda-min", type=float, help="grid start")
     sweep.add_argument("--lambda-max", type=float, help="grid end")
     sweep.add_argument("--lambda-count", type=int, help="grid size")
     sweep.add_argument("--lambdas", help="explicit comma-separated couplings")
     sweep.add_argument("--sources", help=f"subset of {','.join(SWEEP_SOURCES)}")
     sweep.add_argument("--observables", help=f"subset of {','.join(SWEEP_OBSERVABLES)}")
-    sweep.add_argument("--out", help="output path (required)")
-    sweep.add_argument("--format", choices=("csv", "json"), default="csv", help="table format")
-    sweep.add_argument("--jobs", type=int, help="worker processes (default 1)")
 
     phase = command("phase", "mean-field phase report for one coupling")
     phase.add_argument("--epsilon", type=float, default=1.0, help="level splitting (default 1)")
@@ -143,20 +149,10 @@ def build_parser() -> argparse.ArgumentParser:
     state.add_argument("--phases", help="comma-separated phases (nodon only)")
 
     surface = command("surface", "observable over a real grid of state labels")
-    surface.add_argument("--n", type=int, help="particle number (default 10)")
-    surface.add_argument("--epsilon", type=float, help="level splitting (default 1)")
-    surface.add_argument("--lam", type=float, help="coupling for the energy surface")
-    surface.add_argument("--kind", choices=SURFACE_KINDS, help="state family")
-    surface.add_argument("--coords", choices=SURFACE_COORDS, help="grid coordinates")
-    surface.add_argument("--observable", choices=SURFACE_OBSERVABLES)
-    surface.add_argument("--a-min", type=float)
-    surface.add_argument("--a-max", type=float)
-    surface.add_argument("--a-count", type=int)
-    surface.add_argument("--b-min", type=float)
-    surface.add_argument("--b-max", type=float)
-    surface.add_argument("--b-count", type=int)
-    surface.add_argument("--out", help="output path (required)")
-    surface.add_argument("--format", choices=("csv", "json"), default="csv", help="table format")
+    _field_flags(surface, SurfaceConfig)
+    for table in (sweep, surface):
+        table.add_argument("--out", help="output path (required)")
+        table.add_argument("--format", choices=("csv", "json"), default="csv", help="table format")
 
     command("selftest", "run the built-in oracle suite")
 
@@ -190,7 +186,7 @@ def _resolve_lambdas(args) -> tuple:
     if args.lambdas is not None:
         if any(v is not None for v in triple):
             raise ConfigError("give either --lambdas or --lambda-min/max/count, not both")
-        return _parse_floats(args.lambdas)
+        return _parse_list(args.lambdas, float)
     if all(v is None for v in triple):
         return ()  # SweepConfig fills in the default grid
     if any(v is None for v in triple):
@@ -201,23 +197,19 @@ def _resolve_lambdas(args) -> tuple:
     )
 
 
-def _given(**fields) -> dict:
-    """The config fields a flag or config file set; the rest keep the
-    config dataclass defaults."""
-    return {name: value for name, value in fields.items() if value is not None}
+def _config(config, args, **values):
+    """The config dataclass from its fields' flags and the given values;
+    a field left as None keeps its default."""
+    for field in fields(config):
+        values.setdefault(field.name, getattr(args, _DESTS.get(field.name, field.name)))
+    return config(**{name: value for name, value in values.items() if value is not None})
 
 
 def _cmd_sweep(args) -> int:
     _require_out(args)
-    config = SweepConfig(
-        lambdas=_resolve_lambdas(args),
-        **_given(
-            n_particles=args.n,
-            epsilon=args.epsilon,
-            sources=_split_list(args.sources),
-            observables=_split_list(args.observables),
-            jobs=args.jobs,
-        ),
+    config = _config(
+        SweepConfig, args, lambdas=_resolve_lambdas(args),
+        sources=_parse_list(args.sources), observables=_parse_list(args.observables),
     )
     records = run_sweep(config)
     write_records(records, args.out, args.format)
@@ -247,7 +239,7 @@ def _cmd_phase(args) -> int:
 def _state_and_closed_tables(args):
     basis = shared_basis(args.n, args.levels)
     if args.kind == "nodon":
-        phases = _parse_floats(args.phases) if args.phases is not None else None
+        phases = _parse_list(args.phases, float)
         if phases is not None and len(phases) != args.levels:
             raise ConfigError(f"--phases needs exactly {args.levels} entries")
         state = nodon(basis, phases)
@@ -258,7 +250,7 @@ def _state_and_closed_tables(args):
             raise ConfigError("--z is required when --levels != 3")
         z = (1.0, 1.0, 1.0)
     else:
-        z = _parse_complexes(args.z)
+        z = _parse_list(args.z, complex)
         if len(z) != args.levels:
             raise ConfigError(f"--z needs exactly {args.levels} entries")
     if args.kind == "dscs":
@@ -276,17 +268,14 @@ def _cmd_state(args) -> int:
     n, d = args.n, args.levels
     print(f"state: {args.kind}  N={n}  D={d}  label={label}")
     S_state, Q_state = expval_tables(state)
-    for i in range(1, d + 1):
-        report = spectrum_entropies(level_populations(state, i), "level", n, d)
-        print(
-            f"level {i}: purity={_fmt(report.purity)} linear={_fmt(report.linear)}"
-            f" von_neumann={_fmt(report.von_neumann)}"
-        )
-    for title, kind, rho in (
-        ("one atom", "one_atom", one_qudit_rdm_from_tables(S_state, n)),
-        ("two atoms", "two_atom", two_qudit_rdm_from_tables(S_state, Q_state, n)),
-    ):
-        report = entropies(rho, kind, n, d)
+    reports = [
+        (f"level {i}", spectrum_entropies(level_populations(state, i), "level", n, d))
+        for i in range(1, d + 1)
+    ] + [
+        ("one atom", entropies(one_qudit_rdm_from_tables(S_state, n), "one_atom", n, d)),
+        ("two atoms", entropies(two_qudit_rdm_from_tables(S_state, Q_state, n), "two_atom", n, d)),
+    ]
+    for title, report in reports:
         print(
             f"{title}: purity={_fmt(report.purity)} linear={_fmt(report.linear)}"
             f" von_neumann={_fmt(report.von_neumann)}"
@@ -311,9 +300,7 @@ def _cmd_state(args) -> int:
 
 def _cmd_surface(args) -> int:
     _require_out(args)
-    flag = {"n_particles": "n"}  # every other SurfaceConfig field has a flag of its name
-    names = (field.name for field in fields(SurfaceConfig))
-    config = SurfaceConfig(**_given(**{name: getattr(args, flag.get(name, name)) for name in names}))
+    config = _config(SurfaceConfig, args)
     sidecar = write_surface(config, args.out, args.format)
     rows = config.a_count * config.b_count
     print(f"wrote {rows} rows to {args.out} (stationary curve: {sidecar})")

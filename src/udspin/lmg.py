@@ -10,8 +10,9 @@ state lies in the fully even sector (n_2, n_3 both even);
 diagonalization restricts there by default, which also picks a
 deterministic representative among the near-degenerate finite-N levels
 of the broken phases.  A parity sector is assembled from its own S_ij^2
-moves; the full-space coupling is built only for sector "full" and
-build_hamiltonian.  Each sector keeps the CSR pattern of H as scipy's
+moves, one table per level pair read both ways (basis.RowSet.moves); the
+full-space coupling is built from all six tables, only for sector "full"
+and build_hamiltonian.  Each sector keeps the CSR pattern of H as scipy's
 sparse subtraction lays it out; every coupling writes its entries into a
 fresh data array on it, bit for bit what scipy's arithmetic gives.
 Every sector, full space and the single-state sector at N = 3 included,
@@ -498,9 +499,8 @@ def ground_state(params: LmgParams, sector="even", *, lams=None):
             continue
         full = np.zeros(basis.dim, dtype=np.complex128)
         full[rows.ranks] = vec
-        # deterministic sign: largest-magnitude coefficient made positive
-        pivot = int(np.argmax(np.abs(full)))
-        if full[pivot].real < 0:
+        # deterministic sign: largest |coefficient| made positive (ranks ascend: same argmax)
+        if vec[np.argmax(np.abs(vec))] < 0:
             np.negative(full, out=full)
         # <Pi_j> = sum over the solved rows of (-1)^(n_j) |c|^2
         weights = vec * vec
