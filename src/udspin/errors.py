@@ -1,5 +1,5 @@
-"""Exception hierarchy shared across the package, the one range rule and
-the one integer rule."""
+"""Exception hierarchy shared across the package, the one range rule, the
+one integer rule, and the one outcome of a stack of one."""
 
 import math
 import numbers
@@ -77,3 +77,11 @@ def check_integer(value, lo: int, hi: int | None, what: str, error=ValueError) -
         return int(value)
     shown = f"of at least {lo}" if hi is None else f"in [{lo}, {hi}]"
     raise error(f"{what} must be an integer {shown}, got {value!r}")
+
+
+def _only(outcomes):
+    """The outcome of a stack of one (a result or an error), raised if an error."""
+    (outcome,) = outcomes
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome

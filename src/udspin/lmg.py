@@ -52,8 +52,8 @@ import numpy as np
 from numpy.linalg import LinAlgError
 
 from .basis import SymmetricBasis, SymmetricState, _frozen, _moves, expval_tables, shared_basis
-from .errors import EmptySectorError, IntegrityError, check_integer, check_ranges
-from .states import _binary_scaled, _coherent_amplitudes, dcat
+from .errors import EmptySectorError, IntegrityError, _only, check_integer, check_ranges
+from .states import _binary_scaled, _coherent_amplitudes, _dcats
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -308,7 +308,8 @@ def eigsh(ham, *, k=1, which="SA", v0):
             stops[r], norms.reshape(rows)[r] = 0, 1.0
     store, spare = np.empty((cap, *shape)), np.empty((2, *shape))
     w, tmp = np.empty(shape), np.empty(shape)
-    alphas, betas, ys = np.zeros((3, _LANCZOS_MAX_STEPS + 1, *column))
+    # 80 steps to start with: the solves of the default N = 50 sweep take at most 70
+    alphas, betas, ys = np.zeros((3, 8 * _LANCZOS_CHECK_EVERY, *column))
     alpha_rows, beta_rows, y_rows = (c.reshape(-1, rows) for c in (alphas, betas, ys))
 
     def lanczos_vector(step):
@@ -343,16 +344,19 @@ def eigsh(ham, *, k=1, which="SA", v0):
     steps, live = 0, [r for r in range(rows) if stops[r]]
     norm_t, beta_prev = [0.0] * rows, [0.0] * rows
     while live:
+        if steps + 2 > len(alphas):  # the coefficients double as the steps go
+            grown = np.array([alphas, betas, ys])
+            alphas, betas, ys = np.concatenate([grown, np.zeros_like(grown)], axis=1)
+            alpha_rows, beta_rows, y_rows = (c.reshape(-1, rows) for c in (alphas, betas, ys))
         lanczos_step(steps)
         np.multiply(w, w, out=tmp)
-        betas[steps + 1] = np.add.reduce(tmp, axis=-1, keepdims=wide)  # rooted row by row
+        betas[steps + 1] = np.sqrt(np.add.reduce(tmp, axis=-1, keepdims=wide))
         steps += 1
         # in exact arithmetic the Krylov space is complete at step dim
         check = steps % _LANCZOS_CHECK_EVERY == 0 or steps in (dim, _LANCZOS_MAX_STEPS)
-        step_alphas, squares = alpha_rows[steps - 1].tolist(), beta_rows[steps].tolist()
+        step_alphas, step_betas = alpha_rows[steps - 1].tolist(), beta_rows[steps].tolist()
         for r in live:
-            alpha, beta = step_alphas[r], math.sqrt(squares[r])
-            beta_rows[steps, r] = beta
+            alpha, beta = step_alphas[r], step_betas[r]
             if not (math.isfinite(alpha) and math.isfinite(beta)):
                 alpha_rows[steps - 1, r] = 0.0  # so a replay of the step multiplies no infinity
                 outcomes[r] = ValueError(
@@ -412,14 +416,6 @@ def _ritz_check(alphas, off, beta, tol, y_out):
     return None
 
 
-def _only(outcomes):
-    """The outcome of a stack of one, raised if it is an error."""
-    (outcome,) = outcomes
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
-
-
 def build_hamiltonian(basis: SymmetricBasis, params: LmgParams) -> sp.csr_matrix:
     """Sparse real symmetric H on the given basis (D = 3 only)."""
     if basis.n_levels != 3:
@@ -470,42 +466,45 @@ def ground_state(params: LmgParams, sector="even", *, lams=None):
     stack = [params] if lams is None else [replace(params, lam=lam) for lam in lams]
     where = f"sector={sector!r}"  # a stack's caller names each coupling itself
     where = f"at N={n}, lam={params.lam!r}, {where}" if lams is None else f"in {where}"
-    hams, starts = [_hamiltonian(p, key) for p in stack], []
-    for p in stack:
-        point = stationary_point(p)
-        z0 = np.array([1.0, point.alpha0, point.beta0], dtype=np.complex128)
-        v0, size = _coherent_amplitudes(rows, z0).real, rows.ranks.size
-        starts.append(v0 if v0.any() else np.full(size, 1.0 / math.sqrt(size)))
-    if len(stack) != 1:  # a list of its own: hams is emptied as the pairs are checked
-        pairs = eigsh(list(hams), k=1, which="SA", v0=np.array(starts))
+    hams = [_hamiltonian(p, key) for p in stack]
+    z0 = [[1.0, point.alpha0, point.beta0] for point in map(stationary_point, stack)]
+    starts = _coherent_amplitudes(rows, np.array(z0, dtype=np.complex128)).real
+    starts[~starts.any(axis=1)] = 1.0 / math.sqrt(rows.ranks.size)
+    if len(stack) != 1:
+        pairs = eigsh(hams, k=1, which="SA", v0=starts)
     else:
         try:
             pairs = [eigsh(hams[0], k=1, which="SA", v0=starts[0])]
         except (IntegrityError, ValueError) as exc:  # no convergence, values out of range, LAPACK
             pairs = [exc]
+    # the solved pairs are finished row-wise: residual gate, sign pivot, parity signature
+    solved = [k for k, pair in enumerate(pairs) if not isinstance(pair, Exception)]
+    energies = [float(pairs[k][0][0]) for k in solved]
+    vecs = np.array([pairs[k][1][:, 0] for k in solved]).reshape(len(solved), rows.ranks.size)
+    misfits = [hams[k] @ v - energy * v for k, energy, v in zip(solved, energies, vecs)]
+    misfits = np.reshape(misfits, vecs.shape)
+    residuals = np.sqrt(np.add.reduce(misfits * misfits, axis=-1))  # numpy's sums: see eigsh
+    del hams, misfits  # freed before the full-space vectors below
+    # deterministic sign: largest |coefficient| made positive (ranks ascend: same argmax)
+    flips = vecs[range(len(solved)), np.argmax(np.abs(vecs), axis=-1)] < 0
+    # <Pi_j> = sum over the solved rows of (-1)^(n_j) |c|^2
+    weights, odd = vecs * vecs, (rows.rows % 2 == 1).T
+    signatures = np.stack([np.add.reduce(np.where(o, -weights, weights), axis=-1) for o in odd], 1)
+    finished = zip(energies, residuals.tolist(), vecs, flips.tolist(), signatures)
     results = []
     for p, pair in zip(stack, pairs):
-        ham = hams.pop(0)
         if isinstance(pair, Exception):
             results.append(type(pair)(f"eigensolver failed {where}: {pair}"))
             results[-1].__cause__ = pair
             continue
-        energy, vec = float(pair[0][0]), pair[1][:, 0]
-        misfit = ham @ vec - energy * vec
-        residual = math.sqrt((misfit * misfit).sum())  # numpy's sum, not BLAS: see eigsh
-        del ham, misfit  # freed before the full-space vectors below
+        energy, residual, vec, flip, signature = next(finished)
         if not residual <= _RESIDUAL_TOL * (p.epsilon + p.lam):  # NaN fails
             results.append(IntegrityError(f"eigenpair residual {residual:.3e} {where}"))
             continue
         full = np.zeros(basis.dim, dtype=np.complex128)
         full[rows.ranks] = vec
-        # deterministic sign: largest |coefficient| made positive (ranks ascend: same argmax)
-        if vec[np.argmax(np.abs(vec))] < 0:
+        if flip:  # the whole vector: each zero takes the sign bit the negation gives it
             np.negative(full, out=full)
-        # <Pi_j> = sum over the solved rows of (-1)^(n_j) |c|^2
-        weights = vec * vec
-        odd = (rows.rows % 2 == 1).T
-        signature = np.array([np.add.reduce(np.where(o, -weights, weights)) for o in odd])
         state = SymmetricState(basis, _frozen(full))
         results.append(GroundStateResult(energy=energy, state=state, parity_signature=signature))
     return results if lams is not None else _only(results)
@@ -592,7 +591,12 @@ def variational_energy(state: SymmetricState, params: LmgParams) -> float:
     return float(_tables_energy(S, Q, params.n_particles, params.epsilon, params.lam))
 
 
-def variational_cat(basis: SymmetricBasis, params: LmgParams) -> SymmetricState:
-    """Even cat state at the mean-field minimizer: the variational ground state."""
-    point = stationary_point(params)
-    return dcat(basis, [1.0, point.alpha0, point.beta0])
+def variational_cat(basis: SymmetricBasis, params: LmgParams, *, lams=None):
+    """Even cat state at the mean-field minimizer: the variational ground state.
+
+    lams: couplings at the N and epsilon of params, made as one cat pass; the
+    result is then a list, per coupling its cat or the error its call raises.
+    """
+    stack = [params] if lams is None else [replace(params, lam=lam) for lam in lams]
+    cats = _dcats(basis, [[1.0, p.alpha0, p.beta0] for p in map(stationary_point, stack)])
+    return cats if lams is not None else _only(cats)

@@ -34,6 +34,7 @@ from .basis import dimension, expval_tables, shared_basis
 from .errors import ConfigError, IntegrityError, UdspinError, check_integer, check_range
 from .errors import check_ranges
 from .lmg import (
+    _RESIDUAL_TOL,
     LmgParams,
     _tables_energy,
     energy_surface,
@@ -187,13 +188,13 @@ class SweepConfig:
 
 
 #: Bytes of state coefficients a sweep block holds, one full-space complex
-#: vector per row as its solve returns it: 9 couplings with both sources at
-#: N = 50, one from N = 110.  It also sets the Lanczos stack: a block solves
-#: its couplings as one stack, which shares the one 2 MiB Krylov store.  The
-#: default N = 50 sweep on a 2-core VM with one BLAS thread, against one
-#: coupling per block: a warm run_sweep in 0.077 s against 0.163 s, peak RSS
-#: 69.1 MB against 66.7 MB, traced peak 3.17 MiB against 2.23 MiB (16.1 MiB
-#: in one block).
+#: vector per row as its solve or cat pass returns it: 9 couplings with both
+#: sources at N = 50, one from N = 110.  It also sets the Lanczos stack and
+#: the cat pass: a block solves its couplings as one stack, which shares the
+#: one 2 MiB Krylov store, and builds their cats in one pass.  The default
+#: N = 50 sweep on a 2-core VM with one BLAS thread, against one coupling per
+#: block: a warm run_sweep in 0.068 s against 0.169 s, peak RSS 68.1 MB
+#: against 66.0 MB, traced peak 2.74 MiB against 2.18 MiB (10.6 MiB in one block).
 _SWEEP_BLOCK_BYTES = 3 * 2**17
 
 
@@ -210,36 +211,35 @@ def _naming(config: SweepConfig, rows: list):
 
 def _sweep_block(config: SweepConfig, lams) -> list:
     """Records of a block of couplings, sources in canonical order: one
-    stacked solve of the block's couplings and a cat state per row, each
-    state kept as it is returned, then _block_observables over the block's
-    states.  A coupling whose solve failed fails at its own row, so the
-    first failing row names itself; when the pass fails, it is made again
-    row by row on the same states, to the same end."""
-    n = config.n_particles
-    basis, rows, states = shared_basis(n, 3), [], []
+    stacked solve and one cat pass of the block's couplings, each state kept
+    as it is returned, then _block_observables over the block's states.  A
+    coupling whose solve or cat failed fails at its own row, so the first
+    failing row names itself; when the pass fails, it is made again row by
+    row (each with the row before it) on the same states, to the same end."""
+    n, sources, rows, states = config.n_particles, config.sources, [], []
+    basis = shared_basis(n, 3)
     params = LmgParams(n_particles=n, epsilon=config.epsilon, lam=lams[0])
-    solved = iter(ground_state(params, lams=lams) if "numerical" in config.sources else ())
+    solved = iter(ground_state(params, lams=lams) if "numerical" in sources else ())
+    cats = iter(variational_cat(basis, params, lams=lams) if "variational" in sources else ())
     with _naming(config, rows):
         for lam in lams:
-            params = replace(params, lam=lam)
-            point = stationary_point(params)
-            for source in config.sources:
+            point = stationary_point(replace(params, lam=lam))
+            for source in sources:
                 rows.append(dict(lam=lam, source=source, alpha0=point.alpha0, beta0=point.beta0))
-                if source == "variational":
-                    state = variational_cat(basis, params)
-                else:
-                    result = next(solved)
-                    if isinstance(result, Exception):
-                        raise result
-                    state = result.state
-                    rows[-1]["energy"] = result.energy if "energy" in config.observables else None
+                state = next(solved if source == "numerical" else cats)
+                if isinstance(state, Exception):
+                    raise state
+                if source == "numerical":
+                    rows[-1]["energy"] = state.energy if "energy" in config.observables else None
+                    state = state.state
                 states.append(state)
     try:
         _block_observables(config, rows, states)
     except (UdspinError, ValueError):
-        for row, state in zip(rows, states):
+        for k, row in enumerate(rows):
             with _naming(config, [row]):
-                _block_observables(config, [row], [state])
+                pair = slice(max(k - 1, 0), k + 1)
+                _block_observables(config, rows[pair], states[pair])
         raise
     return [SweepRecord(**row) for row in rows]
 
@@ -258,6 +258,12 @@ def _block_observables(config: SweepConfig, rows: list, states: list) -> None:
         energies = _tables_energy(S[cats], Q[cats], n, config.epsilon, lams)
         for k, energy in zip(cats, energies.tolist()):
             rows[k]["energy"] = energy
+            # Rayleigh-Ritz: no lower than the ground energy of its coupling, which the
+            # row before holds when both sources run; a NaN is left to run_sweep
+            if k and rows[k - 1]["source"] == "numerical":
+                ground = rows[k - 1]["energy"]
+                if energy < ground - _RESIDUAL_TOL * (config.epsilon + rows[k]["lam"]):
+                    raise IntegrityError(f"variational energy {energy!r} below ground {ground!r}")
     columns, levels = {}, [i for i in (1, 2, 3) if f"level_entropy_{i}" in want]
     if levels:
         pops = np.stack([level_populations(states, i) for i in levels])

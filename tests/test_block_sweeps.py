@@ -189,11 +189,10 @@ def test_failure_in_the_block_pass_names_its_row(monkeypatch):
     target, marked = 1.0, []
     real_cat, real_tables = sweep.variational_cat, sweep.expval_tables
 
-    def cat(basis, params):
-        state = real_cat(basis, params)
-        if params.lam == target:
-            marked.append(state)
-        return state
+    def cat(basis, params, *, lams):  # the block's cat pass: one entry per coupling
+        cats = real_cat(basis, params, lams=lams)
+        marked.extend(state for lam, state in zip(lams, cats) if lam == target)
+        return cats
 
     def tables(states):
         S, Q = real_tables(states)

@@ -1,9 +1,9 @@
 """What the sweep block bound is for: the states a block holds, with the
 Lanczos store of its solves, keep the default sweep's allocations small.
 
-A warm default N = 50 sweep traces a peak of about 3.2 MiB in blocks of
+A warm default N = 50 sweep traces a peak of about 2.7 MiB in blocks of
 _SWEEP_BLOCK_BYTES (2.2 MiB with one coupling per block, 2 MiB of it the
-Lanczos store); one block for the whole grid traces about 16.1 MiB.
+Lanczos store); one block for the whole grid traces about 10.6 MiB.
 """
 
 import tracemalloc
