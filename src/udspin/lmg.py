@@ -238,6 +238,7 @@ def _lowest_ritz(alphas, off):
     return w[:m], y
 
 
+@np.errstate(over="ignore")  # once per call: an overflowing beta is inf, and its row fails
 def eigsh(ham, *, k=1, which="SA", v0):
     """Lowest eigenpair of the real symmetric `ham` by Lanczos, in scipy's
     eigsh shape: eigenvalues (1,) and eigenvectors (dim, 1).  Given a list
@@ -266,12 +267,13 @@ def eigsh(ham, *, k=1, which="SA", v0):
 
     `ham` is taken as float64 CSR (one already is used as it is) and must
     match v0, since the product kernel checks no bounds.  A zero or
-    non-finite v0, a NaN or infinite alpha or beta (from a non-finite ham)
-    or a NaN residual estimate (LAPACK's tridiagonal solve overflows on
-    entries past about 1e154) is a ValueError, LAPACK failing on the
-    tridiagonal a LinAlgError, and a solve still short of convergence after
-    _LANCZOS_MAX_STEPS steps an IntegrityError.  The kernels csr_matvec (once
-    per call) and dstebz/dstein (at each check) are read through the module.
+    non-finite v0, a NaN or infinite alpha or beta (from a non-finite ham,
+    or a residual whose square is past the float range) or a NaN residual
+    estimate (LAPACK's tridiagonal solve overflows on entries past about
+    1e154) is a ValueError, LAPACK failing on the tridiagonal a LinAlgError,
+    and a solve still short of convergence after _LANCZOS_MAX_STEPS steps an
+    IntegrityError.  The kernels csr_matvec (once per call) and dstebz/dstein
+    (at each check) are read through the module.
     """
     import scipy.sparse as sp
 

@@ -24,7 +24,6 @@ import json
 import math
 import numbers
 from collections.abc import Iterable
-from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from itertools import repeat
 
@@ -198,57 +197,57 @@ class SweepConfig:
 _SWEEP_BLOCK_BYTES = 3 * 2**17
 
 
-@contextmanager
-def _naming(config: SweepConfig, rows: list):
-    """Re-raise a UdspinError or a ValueError as its own class, naming N and
-    the coupling and source of the last row."""
-    try:
-        yield
-    except (UdspinError, ValueError) as exc:
-        lam, source = rows[-1]["lam"], rows[-1]["source"]
-        raise type(exc)(f"N={config.n_particles}, lam={lam!r}, source={source}: {exc}") from exc
-
-
 def _sweep_block(config: SweepConfig, lams) -> list:
     """Records of a block of couplings, sources in canonical order: one
     stacked solve and one cat pass of the block's couplings, each state kept
-    as it is returned, then _block_observables over the block's states.  A
-    coupling whose solve or cat failed fails at its own row, so the first
-    failing row names itself; when the pass fails, it is made again row by
-    row (each with the row before it) on the same states, to the same end."""
+    as it is returned, then _block_observables over the block's states, and
+    each row checked as a table row before it becomes a record.  A coupling
+    whose solve or cat failed, or a failed pass, sends the block through its
+    rows one by one, each row's pass made on its state alone, so the first
+    failing row in (lambda, source) order names itself."""
     n, sources, rows, states = config.n_particles, config.sources, [], []
     basis = shared_basis(n, 3)
     params = LmgParams(n_particles=n, epsilon=config.epsilon, lam=lams[0])
     solved = iter(ground_state(params, lams=lams) if "numerical" in sources else ())
     cats = iter(variational_cat(basis, params, lams=lams) if "variational" in sources else ())
-    with _naming(config, rows):
-        for lam in lams:
-            point = stationary_point(replace(params, lam=lam))
-            for source in sources:
-                rows.append(dict(lam=lam, source=source, alpha0=point.alpha0, beta0=point.beta0))
-                state = next(solved if source == "numerical" else cats)
+    for lam in lams:
+        point = stationary_point(replace(params, lam=lam))
+        for source in sources:
+            rows.append(dict(lam=lam, source=source, alpha0=point.alpha0, beta0=point.beta0))
+            state = next(solved if source == "numerical" else cats)
+            if source == "numerical" and not isinstance(state, Exception):
+                rows[-1]["energy"] = state.energy if "energy" in config.observables else None
+                state = state.state
+            states.append(state)
+    grounds = {row["lam"]: row.get("energy") for row in rows if row["source"] == "numerical"}
+    error = next((state for state in states if isinstance(state, Exception)), None)
+    if error is None:
+        try:
+            _block_observables(config, rows, states, grounds)
+        except (UdspinError, ValueError) as exc:
+            error = exc
+    for row, state in zip(rows, states):
+        label = f"N={n}, lam={row['lam']!r}, source={row['source']}"
+        if error is not None:
+            try:
                 if isinstance(state, Exception):
                     raise state
-                if source == "numerical":
-                    rows[-1]["energy"] = state.energy if "energy" in config.observables else None
-                    state = state.state
-                states.append(state)
-    try:
-        _block_observables(config, rows, states)
-    except (UdspinError, ValueError):
-        for k, row in enumerate(rows):
-            with _naming(config, [row]):
-                pair = slice(max(k - 1, 0), k + 1)
-                _block_observables(config, rows[pair], states[pair])
-        raise
+                _block_observables(config, [row], [state], grounds)
+            except (UdspinError, ValueError) as exc:
+                raise type(exc)(f"{label}: {exc}") from exc
+        _check_row_values(dict(zip(CSV_COLUMNS, map(row.get, _RECORD_FIELDS))), "json", label)
+    if error is not None:
+        raise error
     return [SweepRecord(**row) for row in rows]
 
 
-def _block_observables(config: SweepConfig, rows: list, states: list) -> None:
+def _block_observables(config: SweepConfig, rows: list, states: list, grounds: dict) -> None:
     """Write the selected observables into the rows, one array pass each over
     their states: one expval_tables call, one level_populations call per
     level and one eigvalsh call per RDM kind.  Each value has the bytes of
-    a one-state call."""
+    a one-state call, so a row's pass made on its state alone gives its
+    values.  A cat's energy must not lie below its coupling's ground energy
+    in `grounds` ({lambda: energy} of the block's numerical rows)."""
     n, d, want = config.n_particles, 3, set(config.observables)
     cats = [k for k, row in enumerate(rows) if row["source"] == "variational" and "energy" in want]
     if cats or want & {"one_atom", "two_atom", "squeezing_total", "squeezing_pairs"}:
@@ -257,13 +256,10 @@ def _block_observables(config: SweepConfig, rows: list, states: list) -> None:
         lams = np.array([rows[k]["lam"] for k in cats])
         energies = _tables_energy(S[cats], Q[cats], n, config.epsilon, lams)
         for k, energy in zip(cats, energies.tolist()):
-            rows[k]["energy"] = energy
-            # Rayleigh-Ritz: no lower than the ground energy of its coupling, which the
-            # row before holds when both sources run; a NaN is left to run_sweep
-            if k and rows[k - 1]["source"] == "numerical":
-                ground = rows[k - 1]["energy"]
-                if energy < ground - _RESIDUAL_TOL * (config.epsilon + rows[k]["lam"]):
-                    raise IntegrityError(f"variational energy {energy!r} below ground {ground!r}")
+            rows[k]["energy"], lam = energy, rows[k]["lam"]
+            ground = grounds.get(lam)  # Rayleigh-Ritz; a NaN energy is left to the row check
+            if ground is not None and energy < ground - _RESIDUAL_TOL * (config.epsilon + lam):
+                raise IntegrityError(f"variational energy {energy!r} below ground {ground!r}")
     columns, levels = {}, [i for i in (1, 2, 3) if f"level_entropy_{i}" in want]
     if levels:
         pops = np.stack([level_populations(states, i) for i in levels])
@@ -297,7 +293,8 @@ def run_sweep(config: SweepConfig) -> list:
 
     The couplings go in blocks of _SWEEP_BLOCK_BYTES (see _sweep_block),
     dispatched to a process pool when jobs > 1.  Every value has the bytes
-    of a one-state call, so neither the block size nor the pool changes a row.
+    of a one-state call, so neither the block size nor the pool changes a row,
+    and blocks come back in order, so the first failing row raises.
     """
     cfg = config.validated()
     size = max(1, _SWEEP_BLOCK_BYTES // (len(cfg.sources) * 16 * dimension(cfg.n_particles, 3)))
@@ -309,11 +306,7 @@ def run_sweep(config: SweepConfig) -> list:
             chunks = list(pool.map(_sweep_block, repeat(cfg), blocks))
     else:
         chunks = [_sweep_block(cfg, lams) for lams in blocks]
-    records = [record for chunk in chunks for record in chunk]
-    for record in records:  # record fields hold the Python values a JSON row would
-        row = dict(zip(CSV_COLUMNS, (getattr(record, name) for name in _RECORD_FIELDS)))
-        _check_row_values(row, "json", f"record at lambda = {record.lam}")
-    return records
+    return [record for chunk in chunks for record in chunk]
 
 
 def _csv_cell(value) -> str:
@@ -488,6 +481,8 @@ class SurfaceConfig:
             check_integer(count, 2, None, f"{axis}_count", ConfigError)
             if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
                 raise ConfigError(f"need finite {axis}_min < {axis}_max")
+            if not math.isfinite(hi - lo):  # np.linspace would overflow to NaN nodes
+                raise ConfigError(f"{axis} span {hi!r} - {lo!r} is past the float range")
         if self.coords == "xy":
             if self.kind != "dscs" or not self.observable.startswith("level_entropy"):
                 raise ConfigError(
@@ -562,15 +557,13 @@ def _surface_value(config: SurfaceConfig, a, b) -> np.ndarray:
 def surface_table(config: SurfaceConfig) -> list:
     """Rows (a, b, value) in row-major grid order."""
     cfg = config.validated()
-    a_grid = np.linspace(cfg.a_min, cfg.a_max, cfg.a_count)
-    b_grid = np.linspace(cfg.b_min, cfg.b_max, cfg.b_count)
-    shape = (cfg.a_count, cfg.b_count)
-    values = np.broadcast_to(_surface_value(cfg, a_grid[:, None], b_grid[None, :]), shape)
-    return [
-        (float(a), float(b), float(values[i, j]))
-        for i, a in enumerate(a_grid)
-        for j, b in enumerate(b_grid)
-    ]
+    a, b = np.meshgrid(
+        np.linspace(cfg.a_min, cfg.a_max, cfg.a_count),
+        np.linspace(cfg.b_min, cfg.b_max, cfg.b_count),
+        indexing="ij",
+    )
+    values = np.broadcast_to(_surface_value(cfg, a, b), a.shape)
+    return list(zip(a.ravel().tolist(), b.ravel().tolist(), values.ravel().tolist()))
 
 
 def stationary_table(epsilon: float = 1.0, lambdas=None) -> list:
@@ -587,19 +580,15 @@ def stationary_table(epsilon: float = 1.0, lambdas=None) -> list:
 def write_surface(config: SurfaceConfig, path, fmt: str = "csv") -> str:
     """Write the surface table plus a stationary-curve sidecar.
 
-    Returns the sidecar path.  The observable column is validated
-    post-write: every value must be finite, entropies must lie in
-    [0, 1] and squeezing must be non-negative.
+    Returns the sidecar path.  The observable column is checked before
+    writing, so a failing surface leaves no file: every value must be
+    finite, entropies must lie in [0, 1] and squeezing must be non-negative.
     """
     cfg = config.validated()
     if fmt not in ("csv", "json"):
         raise ConfigError(f"unknown format {fmt!r}; choose csv or json")
     header = ("x", "y", "value") if cfg.coords == "xy" else ("alpha", "beta", "value")
     rows = surface_table(cfg)
-    sidecar = f"{path}.stationary.{fmt}"
-    _write_table(path, _render_rows(header, rows, fmt))
-    stationary = stationary_table(cfg.epsilon)
-    _write_table(sidecar, _render_rows(("lambda", "alpha0", "beta0"), stationary, fmt))
     kind = {"energy": None, "squeezing_total": "nonneg"}.get(cfg.observable, "unit")
     try:  # one pass; only a failing table formats where its first bad cell is
         check_ranges(np.array([value for _, _, value in rows]), kind, str(path))
@@ -607,4 +596,8 @@ def write_surface(config: SurfaceConfig, path, fmt: str = "csv") -> str:
         for a, b, value in rows:
             check_range(value, kind, f"{path}: ({a}, {b})")
         raise
+    sidecar = f"{path}.stationary.{fmt}"
+    _write_table(path, _render_rows(header, rows, fmt))
+    stationary = stationary_table(cfg.epsilon)
+    _write_table(sidecar, _render_rows(("lambda", "alpha0", "beta0"), stationary, fmt))
     return sidecar
