@@ -223,24 +223,31 @@ class SymmetricBasis:
     """Ranked enumeration of the symmetric (N, D) sector.
 
     Immutable after construction and safe to share across threads or
-    (pickled) worker processes.  Holds the occupation table, its per-row
-    parity codes and, built on first use, memoized S_ij one-move tables and
-    the RowSet of the full table and of each parity sector; ranks come from
-    occupation_ranks.
+    (pickled) worker processes.  Construction checks the occupation table
+    against MAX_TABLE_BYTES; the table, its per-row parity codes, memoized
+    S_ij one-move tables and RowSets are built on first use.  A parity
+    sector enumerates and ranks its own rows, without the table.
     """
 
     def __init__(self, n_particles: int, n_levels: int):
         self.n_particles = check_integer(n_particles, 1, None, "n_particles")
         self.n_levels = check_integer(n_levels, 2, None, "n_levels")
         self.dim = dimension(self.n_particles, self.n_levels)
-        self.occupations = _frozen(enumerate_occupations(self.n_particles, self.n_levels))
-        # row code sum_k (n_{k+2} mod 2) 2**k in the smallest dtype that holds
-        # D - 1 bits (object beyond 64): rows with equal codes share a sector
-        dtype = np.min_scalar_type(2 ** (self.n_levels - 1) - 1)
-        weights = np.array([1 << k for k in range(self.n_levels - 1)], dtype=dtype)
-        self.parity_codes = _frozen((self.occupations[:, 1:] % 2).astype(dtype) @ weights)
+        _check_table_bytes(self.dim, self.n_levels, f"occupation table for N={self.n_particles}")
         self._move_cache: dict = {}
         self._sector_cache: dict = {}
+
+    @cached_property
+    def occupations(self) -> np.ndarray:
+        return _frozen(enumerate_occupations(self.n_particles, self.n_levels))
+
+    @cached_property
+    def parity_codes(self) -> np.ndarray:
+        """Per row, sum_k (n_{k+2} mod 2) 2**k in the smallest dtype that holds
+        D - 1 bits (object beyond 64): rows with equal codes share a sector."""
+        dtype = np.min_scalar_type(2 ** (self.n_levels - 1) - 1)
+        weights = np.array([1 << k for k in range(self.n_levels - 1)], dtype=dtype)
+        return _frozen((self.occupations[:, 1:] % 2).astype(dtype) @ weights)
 
     def __repr__(self) -> str:
         return (
@@ -280,9 +287,10 @@ class SymmetricBasis:
         if len(key) != self.n_levels - 1:
             raise ValueError(f"need {self.n_levels - 1} parities, got {len(key)}")
         if key not in self._sector_cache:
-            code = sum(p << k for k, p in enumerate(key))
-            ranks = np.flatnonzero(self.parity_codes == code)
-            self._sector_cache[key] = RowSet(self.occupations[ranks], ranks, self.n_particles)
+            rest = self.n_particles - sum(key)  # n = 2m + (rest % 2, p_2, ..), sum m = rest // 2
+            rows = 2 * enumerate_occupations(max(rest, 0) // 2, self.n_levels) + (rest % 2, *key)
+            rows = rows[: rows.shape[0] * (rest >= 0)]  # N < sum p: an empty sector
+            self._sector_cache[key] = RowSet(rows, occupation_ranks(rows), self.n_particles)
         return self._sector_cache[key]
 
     def parity_sector(self, parities):
@@ -351,7 +359,7 @@ class SymmetricState:
         if c.flags.writeable and np.may_share_memory(c, self.coeffs):
             c = c.copy()  # a caller's array may change; a read-only one is kept
         self.coeffs = _frozen(c)
-        self._sector = None  # (coeffs, state_sector(coeffs)) once chosen
+        self._sector = None  # (coeffs, sector): chosen once, or set by the maker
 
     @property
     def norm(self) -> float:
@@ -369,8 +377,8 @@ class SymmetricState:
 
 
 def _state_sector(state: SymmetricState) -> RowSet | None:
-    """basis.state_sector of the state's coefficients, chosen once per
-    state: they are read-only, so the choice stays valid."""
+    """basis.state_sector of the read-only coefficients, chosen once per state
+    (or recorded by the solver or cat pass that built it on one sector)."""
     if state._sector is None or state._sector[0] is not state.coeffs:
         state._sector = (state.coeffs, state.basis.state_sector(state.coeffs))
     return state._sector[1]

@@ -52,7 +52,7 @@ import numpy as np
 from numpy.linalg import LinAlgError
 
 from .basis import SymmetricBasis, SymmetricState, _frozen, _moves, expval_tables, shared_basis
-from .errors import EmptySectorError, IntegrityError, _only, check_integer, check_ranges
+from .errors import IntegrityError, _only, check_integer, check_ranges
 from .states import _binary_scaled, _coherent_amplitudes, _dcats
 
 if TYPE_CHECKING:
@@ -438,11 +438,8 @@ def even_sector_indices(basis: SymmetricBasis) -> np.ndarray:
 
 def _sector_structure(n_particles: int, parities):
     """Occupation rows, ranks, splitting vector and coupling of one parity
-    sector, from the sector's own moves: the full-space coupling sliced,
-    never built.  Like _workspace it holds no basis."""
+    sector, from its own rows and moves, no full table; holds no basis."""
     sector = shared_basis(n_particles, 3).sector_rows(parities)
-    if sector.ranks.size == 0:
-        raise EmptySectorError(f"parity sector {parities} is empty")
     return (sector.rows, sector.ranks, *_assemble(sector.rows, sector.moves.values()))
 
 
@@ -454,6 +451,8 @@ def ground_state(params: LmgParams, sector="even", *, lams=None):
     lams: couplings solved at the N and epsilon of params as one Lanczos
     stack (see eigsh); the result is then a list, per coupling its result or
     the error its solve or residual check gave, naming only the sector.
+    Each pair is finished on its own; a state solved on a parity sector
+    carries that sector, so moments and populations never search for it.
     """
     n = params.n_particles
     basis = shared_basis(n, 3)
@@ -479,35 +478,26 @@ def ground_state(params: LmgParams, sector="even", *, lams=None):
             pairs = [eigsh(hams[0], k=1, which="SA", v0=starts[0])]
         except (IntegrityError, ValueError) as exc:  # no convergence, values out of range, LAPACK
             pairs = [exc]
-    # the solved pairs are finished row-wise: residual gate, sign pivot, parity signature
-    solved = [k for k, pair in enumerate(pairs) if not isinstance(pair, Exception)]
-    energies = [float(pairs[k][0][0]) for k in solved]
-    vecs = np.array([pairs[k][1][:, 0] for k in solved]).reshape(len(solved), rows.ranks.size)
-    misfits = [hams[k] @ v - energy * v for k, energy, v in zip(solved, energies, vecs)]
-    misfits = np.reshape(misfits, vecs.shape)
-    residuals = np.sqrt(np.add.reduce(misfits * misfits, axis=-1))  # numpy's sums: see eigsh
-    del hams, misfits  # freed before the full-space vectors below
-    # deterministic sign: largest |coefficient| made positive (ranks ascend: same argmax)
-    flips = vecs[range(len(solved)), np.argmax(np.abs(vecs), axis=-1)] < 0
-    # <Pi_j> = sum over the solved rows of (-1)^(n_j) |c|^2
-    weights, odd = vecs * vecs, (rows.rows % 2 == 1).T
-    signatures = np.stack([np.add.reduce(np.where(o, -weights, weights), axis=-1) for o in odd], 1)
-    finished = zip(energies, residuals.tolist(), vecs, flips.tolist(), signatures)
-    results = []
-    for p, pair in zip(stack, pairs):
+    odd, results = (rows.rows % 2 == 1).T, []
+    for p, ham, pair in zip(stack, hams, pairs):
         if isinstance(pair, Exception):
             results.append(type(pair)(f"eigensolver failed {where}: {pair}"))
             results[-1].__cause__ = pair
             continue
-        energy, residual, vec, flip, signature = next(finished)
+        energy, vec = float(pair[0][0]), pair[1][:, 0]
+        misfit = ham @ vec - energy * vec
+        residual = math.sqrt(np.add.reduce(misfit * misfit))  # numpy's sum: see eigsh
         if not residual <= _RESIDUAL_TOL * (p.epsilon + p.lam):  # NaN fails
             results.append(IntegrityError(f"eigenpair residual {residual:.3e} {where}"))
             continue
+        weights = vec * vec  # <Pi_j> = sum of (-1)^(n_j) |c|^2, one 1-D sum per level
+        signature = np.array([np.add.reduce(np.where(o, -weights, weights)) for o in odd])
         full = np.zeros(basis.dim, dtype=np.complex128)
         full[rows.ranks] = vec
-        if flip:  # the whole vector: each zero takes the sign bit the negation gives it
-            np.negative(full, out=full)
+        if vec[np.argmax(np.abs(vec))] < 0:  # deterministic sign: largest |coefficient| > 0
+            np.negative(full, out=full)  # the whole vector: each zero takes its sign bit
         state = SymmetricState(basis, _frozen(full))
+        state._sector = None if key == "full" else (state.coeffs, rows)  # never searched
         results.append(GroundStateResult(energy=energy, state=state, parity_signature=signature))
     return results if lams is not None else _only(results)
 

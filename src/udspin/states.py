@@ -93,7 +93,11 @@ def representative(z, level: int = 1) -> np.ndarray:
     pivot = z[..., k0 : k0 + 1]
     if (pivot == 0).any():
         raise ValueError(f"level-{level} amplitude is zero, cannot rescale")
-    return z / pivot
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = z / pivot
+    if not np.isfinite(z).all():
+        raise ValueError(f"level-{level} amplitude is too small: rescaling overflows")
+    return z
 
 
 def _coherent_amplitudes(rows: RowSet, z: np.ndarray) -> np.ndarray:
@@ -107,6 +111,8 @@ def _coherent_amplitudes(rows: RowSet, z: np.ndarray) -> np.ndarray:
     a stacked rows.floats @ log(z).T sums in another order, and moved 2,783
     of the 42,471 amplitudes of the default N = 50 grid by a bit."""
     z = np.atleast_2d(z)
+    # an orbital whose vdot could overflow is binary-scaled; the others keep their bits
+    z = np.where(np.abs(z).max(axis=-1, keepdims=True) < 2.0**500, z, _binary_scaled(z))
     finite = z != 0
     logz = np.zeros(z.shape, dtype=np.complex128)
     logz[finite] = np.log(z[finite])
@@ -261,7 +267,7 @@ def dcat_norm_squared(z, n_particles: int):
     A stack of orbitals (..., D) gives an array: every sum runs along its
     own orbital, so each entry is the float of a one-orbital call."""
     n = check_integer(n_particles, 1, None, "n_particles")
-    x = np.abs(_as_orbitals(z)) ** 2
+    x = np.abs(_binary_scaled(_as_orbitals(z))) ** 2  # degree 0: no square overflows
     a, b = x[..., :1], np.abs((x[..., None, 1:] * _cat_constants(x.shape[-1] - 1)[0]).sum(-1))
     ratio = (a + b) / x.sum(-1, keepdims=True)
     terms = ratio**n * np.exp(_even_parts(a, b, np.array([n]))[..., 0])
@@ -298,6 +304,7 @@ def _dcats(basis: SymmetricBasis, z) -> list:
             coeffs = np.zeros(basis.dim, dtype=np.complex128)
             coeffs[sector.ranks] = row / np.sqrt(sq)
             cats.append(SymmetricState(basis, _frozen(coeffs)))
+            cats[-1]._sector = (cats[-1].coeffs, sector)  # so _as_stack need not search
     return cats
 
 

@@ -1,8 +1,8 @@
 """A block's solves finished row-wise, and the sweep's Rayleigh-Ritz check.
 
 ground_state(params, lams=...) checks the residual, fixes the sign and reads
-the parity signature of all its pairs in array passes; each result must have
-the bytes of the one-coupling call.  lmg.eigsh grows its coefficient arrays
+the parity signature of each pair in its one results loop; each result must
+have the bytes of the one-coupling call.  lmg.eigsh grows its coefficient arrays
 with the steps taken, not the step cap.  When a sweep runs both sources,
 each cat's energy must lie at or above its coupling's numerical ground
 energy, less the eigensolver's residual tolerance.
