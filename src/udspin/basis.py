@@ -26,6 +26,7 @@ N = 2, D = 3: (2,0,0), (1,1,0), (1,0,1), (0,2,0), (0,1,1), (0,0,2).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import chain, combinations
@@ -186,6 +187,50 @@ def occupation_unrank(index: int, n_particles: int, n_levels: int) -> np.ndarray
     return occ
 
 
+def _extension_file(name: str) -> str | None:
+    """Path of the compiled module `name` (scipy.sparse._sparsetools, say)
+    under its top package's directory, found without importing anything."""
+    import importlib.machinery
+    import importlib.util
+    import os
+
+    top, *parts = name.split(".")
+    spec = importlib.util.find_spec(top)
+    for base in (spec and spec.submodule_search_locations) or ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(base, *parts) + suffix
+            if os.path.isfile(path):
+                return path
+    return None
+
+
+def _scipy_extension(name: str):
+    """The compiled scipy module `name`, loaded from its extension file
+    without running its packages' __init__: those load scipy's numpy-compat
+    layer, 0.2-0.3 s of a cold sweep whose three kernel modules take 0.02 s.
+    This leans on scipy's private layout, as lmg's kernel names already do;
+    where no file is found it imports the module through its package
+    (tests/test_scipy_kernels.py checks that each file is found).  The
+    module is registered under its full name before it runs, so a later
+    import of its package reuses it."""
+    if name in sys.modules:
+        return sys.modules[name]
+    import importlib
+    import importlib.util
+
+    path = _extension_file(name)
+    if path is None:
+        return importlib.import_module(name)
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = sys.modules[name] = importlib.util.module_from_spec(spec)
+    try:
+        spec.loader.exec_module(module)
+    except BaseException:
+        del sys.modules[name]
+        raise
+    return module
+
+
 def _frozen(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
@@ -201,8 +246,7 @@ class RowSet:
     basis is held, so a cached row set keeps no evicted basis alive."""
 
     def __init__(self, rows: np.ndarray, ranks: np.ndarray, n_particles: int):
-        from scipy.special import gammaln
-
+        gammaln = _scipy_extension("scipy.special._special_ufuncs").gammaln
         self.rows, self.ranks, self.n_particles = _frozen(rows), _frozen(ranks), n_particles
         self.floats = _frozen(rows.astype(np.float64))
         log_factorials = gammaln(rows + 1.0).sum(axis=1)
@@ -260,7 +304,7 @@ class SymmetricBasis:
         return occupation_rank(occ)
 
     def unrank(self, index: int) -> np.ndarray:
-        return self.occupations[check_integer(index, 0, self.dim - 1, "rank")].copy()
+        return occupation_unrank(index, self.n_particles, self.n_levels)
 
     def transitions(self, i: int, j: int):
         """Sparse action of S_ij: arrays (src, dst, amp).

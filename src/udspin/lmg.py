@@ -11,10 +11,11 @@ diagonalization restricts there by default, which also picks a
 deterministic representative among the near-degenerate finite-N levels
 of the broken phases.  A parity sector is assembled from its own S_ij^2
 moves, one table per level pair read both ways (basis.RowSet.moves); the
-full-space coupling is built from all six tables, only for sector "full"
-and build_hamiltonian.  Each sector keeps the CSR pattern of H as scipy's
-sparse subtraction lays it out; every coupling writes its entries into a
-fresh data array on it, bit for bit what scipy's arithmetic gives.
+full-space pattern is built from all six tables, only for sector "full"
+and build_hamiltonian.  Each sector keeps the CSR pattern of H, laid out
+with numpy as scipy's sparse subtraction lays it out; every coupling
+writes its entries into a fresh data array on it, bit for bit what scipy's
+arithmetic gives, and the solver holds H as those three arrays (_Csr).
 Every sector, full space and the single-state sector at N = 3 included,
 goes through one solver, eigsh: Lanczos without reorthogonalization for the
 lowest pair, of one H or of a stack of them, as a sweep block solves its
@@ -23,9 +24,10 @@ mean-field minimizer on the sector's rows -- the variational cat on the
 even sector -- or from the uniform vector where that restriction
 vanishes.  It draws no random vector and sums with numpy rather than
 BLAS, so a row depends only on (N, lam, eps), not on grid order, stacks,
-workers or BLAS threads.  Importing the module loads no scipy: the
-functions that assemble H or solve import scipy.sparse, and the kernels
-eigsh calls are bound on first use (see __getattr__).  A solve that does
+workers or BLAS threads.  Importing the module loads no scipy, and a
+solve loads no scipy package: the kernels eigsh calls are bound on first
+use from scipy's extension files (see __getattr__), and scipy.sparse is
+imported only to take or give scipy's matrices.  A solve that does
 not converge within a fixed step cap, or whose pair misses ||Hv - Ev|| <=
 1e-10 (eps + lam), raises IntegrityError naming N, lam and the sector; one
 whose start or H is not finite, or whose tridiagonal gives a NaN residual
@@ -46,12 +48,13 @@ import sys
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import permutations
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 from numpy.linalg import LinAlgError
 
 from .basis import SymmetricBasis, SymmetricState, _frozen, _moves, expval_tables, shared_basis
+from .basis import _scipy_extension
 from .errors import IntegrityError, _only, check_integer, check_ranges
 from .states import _binary_scaled, _coherent_amplitudes, _dcats
 
@@ -108,17 +111,17 @@ _SECTOR_FORMS = "sector must be 'even', 'full' or a pair of 0/1 parities for lev
 
 def __getattr__(name):
     """Bind a kernel of eigsh (csr_matvec, dstebz, dstein) as a module
-    attribute on its first read (PEP 562).  A bare global name skips this
-    hook, so eigsh and _lowest_ritz read the kernels through _MODULE."""
+    attribute on its first read (PEP 562), from scipy's extension module
+    loaded by file (basis._scipy_extension), so a sweep imports no scipy
+    package.  A bare global name skips this hook, so eigsh and _lowest_ritz
+    read the kernels through _MODULE."""
     if name == "csr_matvec":
-        from scipy.sparse._sparsetools import csr_matvec as kernel
+        module = "scipy.sparse._sparsetools"
     elif name in ("dstebz", "dstein"):
-        from scipy.linalg import lapack
-
-        kernel = getattr(lapack, name)
+        module = "scipy.linalg._flapack"
     else:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    globals()[name] = kernel
+    kernel = globals()[name] = getattr(_scipy_extension(module), name)
     return kernel
 
 
@@ -162,7 +165,8 @@ class GroundStateResult:
 def _assemble(occupations: np.ndarray, moves):
     """Splitting vector n_3 - n_1 and coupling sum_{i!=j} S_ij^2 on an
     occupation table, from its S_ij^2 move tables summed one (i, j) pair
-    at a time: holds less than one concatenated COO."""
+    at a time by scipy's sparse arithmetic: the oracle, off the solve path,
+    that the tests compare _pattern and _hamiltonian against."""
     import scipy.sparse as sp
 
     coupling = sp.csr_matrix((occupations.shape[0],) * 2)
@@ -172,8 +176,8 @@ def _assemble(occupations: np.ndarray, moves):
 
 
 def _workspace(n_particles: int):
-    """Occupation table, splitting vector and full-space coupling; only the
-    pattern of sector "full" reads it.  It holds the table, not the basis."""
+    """Occupation table, splitting vector and full-space coupling, built
+    by _assemble (an oracle).  It holds the table, not the basis."""
     occ = shared_basis(n_particles, 3).occupations
     moves = (_moves(occ, i0, j0, 2) for i0, j0 in permutations(range(3), 2))
     return (occ, *_assemble(occ, moves))
@@ -182,46 +186,92 @@ def _workspace(n_particles: int):
 @lru_cache(maxsize=64)
 def _pattern(n_particles: int, sector):
     """CSR pattern of H on a sector (a parity pair, or "full"), as scipy
-    lays out sp.diags(diag != 0) - coupling, whose positive entries are the
-    diagonal ones (coupling entries are > 0).  Returns the read-only
-    (indptr, indices, on_diag, has_diag) that every H of the sector shares,
-    the splitting vector and the coupling's values: the one cache per sector."""
-    import scipy.sparse as sp
+    lays out sp.diags(diag != 0) - coupling: per row its diagonal entry
+    where n_3 != n_1 and the S_ij^2 moves into it, in column order.  Rows
+    are in descending lexicographic order, so row r's entries, from r +
+    2(e_j - e_i) by move (i, j) and from r itself, fall in the same order in
+    every row, that of their displacements: the rows are laid out one slot at
+    a time, with no sort.  Moves of different level pairs never share an
+    entry.  Returns the read-only (indptr, indices, on_diag, has_diag) that
+    every H of the sector shares, the splitting vector and the coupling's
+    values in pattern order: the one cache per sector."""
+    basis = shared_basis(n_particles, 3)
+    rows = basis.full_rows if sector == "full" else basis.sector_rows(sector)
+    diag = (rows.rows[:, 2] - rows.rows[:, 0]).astype(np.float64)
+    has_diag, moves = diag != 0, rows.moves
+    slots = ((2, 0), (1, 0), (2, 1), None, (1, 2), (0, 1), (0, 2))  # None: the diagonal
+    counts = has_diag.astype(np.int32)
+    for _, dst, _ in moves.values():
+        counts[dst] += 1  # a row is the target of one move per level pair at most
+    indptr = np.zeros(diag.size + 1, dtype=np.int32)  # scipy's index dtype at these sizes
+    np.cumsum(counts, out=indptr[1:])
+    indices, on_diag = np.empty(indptr[-1], dtype=np.int32), np.zeros(indptr[-1], dtype=bool)
+    couplings = np.empty(indptr[-1] - np.count_nonzero(has_diag))
+    fill = indptr[:-1].copy()  # per row, where its next entry goes, among all and off the diagonal
+    off_fill = fill - (np.cumsum(has_diag, dtype=np.int32) - has_diag)
+    for key in slots:
+        if key is None:
+            (dst,) = src = np.nonzero(has_diag)
+            on_diag[fill[dst]] = True
+        else:
+            src, dst, amp = moves[key]
+            couplings[off_fill[dst]] = amp
+            off_fill[dst] += 1
+        indices[fill[dst]] = src
+        fill[dst] += 1
+    return tuple(map(_frozen, (indptr, indices, on_diag, has_diag, diag, couplings)))
 
-    if sector == "full":
-        _, diag, coupling = _workspace(n_particles)
-    else:
-        _, _, diag, coupling = _sector_structure(n_particles, sector)
-    has_diag = diag != 0
-    probe = sp.diags(has_diag * 1.0) - coupling
-    return (
-        _frozen(probe.indptr),
-        _frozen(probe.indices),
-        _frozen(probe.data > 0),
-        _frozen(has_diag),
-        diag,
-        coupling.data,
-    )
+
+class _Csr(NamedTuple):
+    """A square float64 CSR matrix as its three arrays: H on the solve path,
+    with no scipy.sparse.  `@` calls csr_matvec from its module into zeros,
+    as scipy's product does (not eigsh's kernel bound here), with its bits."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+
+    @property
+    def shape(self) -> tuple:
+        return (self.indptr.size - 1,) * 2
+
+    @property
+    def nnz(self) -> int:
+        return int(self.indptr[-1])
+
+    def __matmul__(self, vec):
+        vec = np.asarray(vec)
+        if vec.shape != self.shape[1:]:  # the kernel checks no bounds
+            raise ValueError(f"need a vector of length {self.shape[1]}, got shape {vec.shape}")
+        out = np.zeros(self.shape[0], dtype=np.result_type(self.data, vec))
+        _scipy_extension("scipy.sparse._sparsetools").csr_matvec(*self.shape, *self, vec, out)
+        return out
 
 
-def _hamiltonian(params: LmgParams, sector) -> sp.csr_matrix:
+def _hamiltonian(params: LmgParams, sector):
     """H = eps/N diag - lam/(N(N-1)) coupling on a sector, in floats
     (scipy.sparse has no dtype for exact Fraction couplings): a fresh data
     array on the sector's shared pattern, with the entries and bits of
     sp.diags(eps/N diag) - s coupling.  That subtraction stores no zero,
-    so zero entries (every off-diagonal one at lam = 0) go, as scipy drops them."""
-    import scipy.sparse as sp
-
+    so zero entries (every off-diagonal one at lam = 0) go, from copies of
+    the index arrays, as scipy's eliminate_zeros drops them.  H is a _Csr,
+    or, once scipy.sparse is loaded anyway, scipy's csr_matrix on the same
+    arrays, the type tests compare; eigsh and `@` give both the same bits."""
     n = params.n_particles
     indptr, indices, on_diag, has_diag, diag, couplings = _pattern(n, sector)
     data = np.empty(indices.size)
     data[on_diag] = float(params.epsilon) / n * diag[has_diag]
     data[~on_diag] = couplings * (-float(params.lam) / (n * (n - 1)))  # -(s C), bit for bit
-    has_zero = not data.all()
-    ham = sp.csr_matrix((data, indices, indptr), shape=(indptr.size - 1,) * 2, copy=has_zero)
-    if has_zero:
-        ham.eliminate_zeros()
-    return ham
+    ham = _Csr(indptr, indices, data)
+    if not data.all():
+        ham = _Csr(indptr.copy(), indices.copy(), data)
+        _scipy_extension("scipy.sparse._sparsetools").csr_eliminate_zeros(*ham.shape, *ham)
+        ham = _Csr(ham.indptr, ham.indices[: ham.nnz], data[: ham.nnz])
+    if "scipy.sparse" not in sys.modules:  # a cold sweep loads no scipy package
+        return ham
+    import scipy.sparse as sp
+
+    return sp.csr_matrix((ham.data, ham.indices, ham.indptr), shape=ham.shape, copy=False)
 
 
 def _lowest_ritz(alphas, off):
@@ -265,8 +315,9 @@ def eigsh(ham, *, k=1, which="SA", v0):
     step past it is rebuilt from the two before it by the first pass's own
     step routine.  So each pair has the bytes of its one-matrix call.
 
-    `ham` is taken as float64 CSR (one already is used as it is) and must
-    match v0, since the product kernel checks no bounds.  A zero or
+    `ham` is a _Csr, or a scipy or dense matrix taken as float64 CSR through
+    scipy.sparse (one already is used as it is), and must match v0, since
+    the product kernel checks no bounds.  A zero or
     non-finite v0, a NaN or infinite alpha or beta (from a non-finite ham,
     or a residual whose square is past the float range) or a NaN residual
     estimate (LAPACK's tridiagonal solve overflows on entries past about
@@ -275,12 +326,10 @@ def eigsh(ham, *, k=1, which="SA", v0):
     IntegrityError.  The kernels csr_matvec (once per call) and dstebz/dstein
     (at each check) are read through the module.
     """
-    import scipy.sparse as sp
-
     if k != 1 or which != "SA":
         raise ValueError("only the lowest eigenpair (k=1, which='SA') is computed")
     stacked = isinstance(ham, list)
-    hams = [sp.csr_matrix(h, dtype=np.float64) for h in (ham if stacked else [ham])]  # no copy
+    hams = [h if isinstance(h, _Csr) else _float_csr(h) for h in (ham if stacked else [ham])]
     v0 = np.asarray(v0, dtype=np.float64)
     starts = v0 if stacked else v0[None]
     rows, dim = len(hams), starts.shape[-1]
@@ -288,7 +337,7 @@ def eigsh(ham, *, k=1, which="SA", v0):
         shapes = [h.shape for h in hams]
         raise ValueError(f"need a square ham matching v0, got {shapes} and {v0.shape}")
     if rows == 1:
-        csr = (dim, dim, hams[0].indptr, hams[0].indices, hams[0].data)
+        csr = (dim, dim, *hams[0])
     else:  # one block-diagonal matrix, whose row block r is H_r
         nnz = np.cumsum([0] + [h.nnz for h in hams])
         indices = np.concatenate([h.indices + r * dim for r, h in enumerate(hams)])
@@ -397,6 +446,15 @@ def eigsh(ham, *, k=1, which="SA", v0):
     return outcomes if stacked else _only(outcomes)
 
 
+def _float_csr(matrix) -> _Csr:
+    """A scipy sparse or dense matrix as a float64 _Csr, on the arrays of
+    its CSR form: not copied where it is one already."""
+    import scipy.sparse as sp
+
+    matrix = sp.csr_matrix(matrix, dtype=np.float64)
+    return _Csr(matrix.indptr, matrix.indices, matrix.data)
+
+
 def _ritz_check(alphas, off, beta, tol, y_out):
     """The convergence check at step m = alphas.size: the lowest Ritz value
     of the tridiagonal (alphas, off), its vector y written to y_out, once
@@ -424,7 +482,10 @@ def build_hamiltonian(basis: SymmetricBasis, params: LmgParams) -> sp.csr_matrix
         raise ValueError("Hamiltonian requires a three-level basis")
     if basis.n_particles != params.n_particles:
         raise ValueError("basis and params disagree on n_particles")
-    return _hamiltonian(params, "full").copy()  # its own index arrays, not the cached ones
+    import scipy.sparse as sp
+
+    ham = _hamiltonian(params, "full")  # its own arrays, not the cached ones
+    return sp.csr_matrix((ham.data, ham.indices, ham.indptr), shape=ham.shape, copy=True)
 
 
 def parity_sector_indices(basis: SymmetricBasis, parities) -> np.ndarray:
@@ -438,7 +499,8 @@ def even_sector_indices(basis: SymmetricBasis) -> np.ndarray:
 
 def _sector_structure(n_particles: int, parities):
     """Occupation rows, ranks, splitting vector and coupling of one parity
-    sector, from its own rows and moves, no full table; holds no basis."""
+    sector, from its own rows and moves by _assemble (an oracle), no full
+    table; holds no basis."""
     sector = shared_basis(n_particles, 3).sector_rows(parities)
     return (sector.rows, sector.ranks, *_assemble(sector.rows, sector.moves.values()))
 
