@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import chain, combinations
 
@@ -209,10 +208,9 @@ def _scipy_extension(name: str):
     without running its packages' __init__: those load scipy's numpy-compat
     layer, 0.2-0.3 s of a cold sweep whose three kernel modules take 0.02 s.
     This leans on scipy's private layout, as lmg's kernel names already do;
-    where no file is found it imports the module through its package
-    (tests/test_scipy_kernels.py checks that each file is found).  The
-    module is registered under its full name before it runs, so a later
-    import of its package reuses it."""
+    where no file is found it imports the module through its package (tests
+    check that each file is found).  The module is registered under its full
+    name before it runs, so a later import of its package reuses it."""
     if name in sys.modules:
         return sys.modules[name]
     import importlib
@@ -384,26 +382,63 @@ def shared_basis(n_particles: int, n_levels: int) -> SymmetricBasis:
     return SymmetricBasis(n_particles, n_levels)
 
 
-@dataclass
 class SymmetricState:
     """Vector in the symmetric sector: complex coefficients over the basis.
 
-    The coefficients are read-only, a writeable array passed in being
-    copied, so the parity sector they lie in is chosen once per state."""
+    coeffs is the read-only full-space vector, a writeable array passed in
+    being copied.  A state that a solver or cat pass makes on a parity sector
+    (_on_rows) holds that RowSet and its own coefficients on it, and builds
+    coeffs only when it is read: zeros, the scatter, then, where its maker
+    negated the vector, the negation of the whole of it, so each zero outside
+    the sector keeps its sign bit.  Moments and populations read the sector
+    coefficients (_as_stack), so a sweep builds no full-space vector.  The
+    parity sector of any other state is searched for once, on first need."""
 
-    basis: SymmetricBasis
-    coeffs: np.ndarray = field(repr=False)
+    def __init__(self, basis: SymmetricBasis, coeffs):
+        self.basis = basis
+        self.coeffs = coeffs
 
-    def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=np.complex128).ravel()
+    @classmethod
+    def _on_rows(cls, basis: SymmetricBasis, rows: RowSet, values, negated=False):
+        """The state with coefficients `values` (an array it now owns) on the
+        parity sector `rows`, their negation where `negated`."""
+        state = cls.__new__(cls)
+        state.basis, state._rows, state._coeffs = basis, rows, None
+        state._values, state._negated = _frozen(values), bool(negated)
+        return state
+
+    def __repr__(self) -> str:
+        return f"SymmetricState(basis={self.basis!r})"
+
+    @property
+    def coeffs(self) -> np.ndarray:
+        if self._coeffs is None:
+            full = np.zeros(self.basis.dim, dtype=np.complex128)
+            full[self._rows.ranks] = self._values
+            self._coeffs = _frozen(np.negative(full, out=full, where=self._negated))
+        return self._coeffs
+
+    @coeffs.setter
+    def coeffs(self, coeffs) -> None:
+        c = np.asarray(coeffs, dtype=np.complex128).ravel()
         if c.size != self.basis.dim:
-            raise ValueError(
-                f"coefficient vector has length {c.size}, basis dim {self.basis.dim}"
-            )
-        if c.flags.writeable and np.may_share_memory(c, self.coeffs):
+            raise ValueError(f"coefficient vector has length {c.size}, basis dim {self.basis.dim}")
+        if c.flags.writeable and np.may_share_memory(c, coeffs):
             c = c.copy()  # a caller's array may change; a read-only one is kept
-        self.coeffs = _frozen(c)
-        self._sector = None  # (coeffs, sector): chosen once, or set by the maker
+        self._coeffs, self._values, self._negated = _frozen(c), None, False
+        vars(self).pop("_rows", None)  # new coefficients are searched afresh
+
+    @cached_property
+    def _rows(self) -> RowSet | None:
+        """The parity sector holding every nonzero coefficient, or None: set by
+        the maker, or basis.state_sector of coeffs, searched for once."""
+        return self.basis.state_sector(self.coeffs)
+
+    @property
+    def _sector(self):
+        """(coeffs, the parity sector), once the sector is known."""
+        rows = vars(self).get("_rows")
+        return None if rows is None else (self.coeffs, rows)
 
     @property
     def norm(self) -> float:
@@ -418,14 +453,6 @@ class SymmetricState:
     def overlap(self, other: "SymmetricState") -> complex:
         _same_basis(self, other)
         return complex(np.vdot(self.coeffs, other.coeffs))
-
-
-def _state_sector(state: SymmetricState) -> RowSet | None:
-    """basis.state_sector of the read-only coefficients, chosen once per state
-    (or recorded by the solver or cat pass that built it on one sector)."""
-    if state._sector is None or state._sector[0] is not state.coeffs:
-        state._sector = (state.coeffs, state.basis.state_sector(state.coeffs))
-    return state._sector[1]
 
 
 def _same_basis(a: SymmetricState, b: SymmetricState) -> None:
@@ -500,18 +527,25 @@ def expval_matrix(state: SymmetricState) -> np.ndarray:
 def _as_stack(states):
     """(single, states, sector, c): whether one state was passed, the states
     (one, or a sequence on one basis) as a list, the parity sector holding
-    them all, or None, and their coefficients on its rows (all rows for
-    None) as the C-contiguous rows of one array."""
+    them all, or None, and their coefficients on its rows as the C-contiguous
+    rows of one complex array, each row the bytes of coeffs[sector.ranks].
+    With no one sector, c holds a single state's coeffs, or is None for
+    several states, which go state by state."""
     single = isinstance(states, SymmetricState)
     states = [states] if single else list(states)
     if not states:
         raise ValueError("need at least one state")
-    sector = _state_sector(states[0])
+    sector = states[0]._rows
     for state in states[1:]:
         _same_basis(states[0], state)
-        sector = sector if _state_sector(state) is sector else None
-    ranks = slice(None) if sector is None else sector.ranks
-    return single, states, sector, np.stack([state.coeffs[ranks] for state in states])
+        sector = sector if state._rows is sector else None
+    if sector is None:
+        return single, states, None, states[0].coeffs[None] if len(states) == 1 else None
+    c = np.empty((len(states), sector.ranks.size), dtype=np.complex128)
+    for row, state in zip(c, states):  # as coeffs is built: cast, then negated
+        row[:] = state.coeffs[sector.ranks] if state._values is None else state._values
+        np.negative(row, out=row, where=state._negated)
+    return single, states, sector, c
 
 
 def expval_tables(states):
@@ -533,7 +567,7 @@ def expval_tables(states):
     single, states, sector, c = _as_stack(states)
     basis, m = states[0].basis, len(states)
     d = basis.n_levels
-    if sector is None and m > 1:  # several sectors: each state by its own route
+    if c is None:  # several sectors: each state by its own route
         return tuple(map(np.stack, zip(*map(expval_tables, states))))
     if sector is None:  # one state, on the Gram route
         c = c[0]
@@ -542,7 +576,7 @@ def expval_tables(states):
             for j0 in range(d):
                 src, dst, amp = basis._transitions0(i0, j0)
                 applied[i0 * d + j0, dst] = amp * c[src]
-        from scipy.linalg.blas import zgemm
+        zgemm = _scipy_extension("scipy.linalg._fblas").zgemm  # not scipy.linalg's package
 
         # gram[p, q] = <S_p psi | S_q psi>; with p = (j, i) this is <S_ij S_q>.
         # zgemm conjugates inside the product (trans_a=2): no conjugated copy

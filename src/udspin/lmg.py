@@ -514,7 +514,9 @@ def ground_state(params: LmgParams, sector="even", *, lams=None):
     stack (see eigsh); the result is then a list, per coupling its result or
     the error its solve or residual check gave, naming only the sector.
     Each pair is finished on its own; a state solved on a parity sector
-    carries that sector, so moments and populations never search for it.
+    holds that sector and its own copy of the eigenvector on it, so moments
+    and populations never search for the sector, and its full-space vector
+    is built only when coeffs is read.
     """
     n = params.n_particles
     basis = shared_basis(n, 3)
@@ -554,12 +556,10 @@ def ground_state(params: LmgParams, sector="even", *, lams=None):
             continue
         weights = vec * vec  # <Pi_j> = sum of (-1)^(n_j) |c|^2, one 1-D sum per level
         signature = np.array([np.add.reduce(np.where(o, -weights, weights)) for o in odd])
-        full = np.zeros(basis.dim, dtype=np.complex128)
-        full[rows.ranks] = vec
-        if vec[np.argmax(np.abs(vec))] < 0:  # deterministic sign: largest |coefficient| > 0
-            np.negative(full, out=full)  # the whole vector: each zero takes its sign bit
-        state = SymmetricState(basis, _frozen(full))
-        state._sector = None if key == "full" else (state.coeffs, rows)  # never searched
+        # deterministic sign: largest |coefficient| > 0; a copy, not a view of the stack
+        state = SymmetricState._on_rows(basis, rows, vec.copy(), vec[np.argmax(np.abs(vec))] < 0)
+        if key == "full":  # a full-space vector, searched for its sector
+            state = SymmetricState(basis, state.coeffs)
         results.append(GroundStateResult(energy=energy, state=state, parity_signature=signature))
     return results if lams is not None else _only(results)
 

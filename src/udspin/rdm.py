@@ -69,8 +69,11 @@ __all__ = [
 def level_populations(states, i: int) -> np.ndarray:
     """Marginal probabilities P(n_i = p), p = 0..N, the level-RDM spectrum, of
     one state, or a stack of them for a sequence of states on one basis, in
-    one bincount whose bins each sum their state's rows in row order."""
+    one bincount whose bins each sum their state's rows in row order (states
+    on no one sector go state by state)."""
     single, states, sector, c = _as_stack(states)
+    if c is None:
+        return np.stack([level_populations(state, i) for state in states])
     basis, m, width = states[0].basis, len(states), states[0].basis.n_particles + 1
     (i0,) = _levels0(basis.n_levels, i)
     # a sector skips only exact zeros: the same sums, in the same order

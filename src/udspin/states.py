@@ -282,8 +282,9 @@ def _dcats(basis: SymmetricBasis, z) -> list:
     the stack, each orbital is passed alone), then one amplitude pass over
     the sector's rows.  Each squared norm is the projected norm of the
     unit-norm |z>, cross-checked against its closed form: a relative
-    mismatch beyond 1e-10 is an IntegrityError.  Each state owns its
-    coefficient array, so a state kept does not hold the stack."""
+    mismatch beyond 1e-10 is an IntegrityError.  Each state holds its own
+    coefficients on the sector, so a state kept holds neither the stack nor
+    a full-space vector."""
     z = np.asarray(z, dtype=np.complex128)
     if z.shape[-1] != basis.n_levels:
         raise ValueError(f"orbital has {z.shape[-1]} components, expected {basis.n_levels}")
@@ -301,10 +302,7 @@ def _dcats(basis: SymmetricBasis, z) -> list:
             mismatch = f"cat-state norm mismatch: projection {sq!r} vs closed form {norm!r}"
             cats.append(IntegrityError(mismatch))
         else:
-            coeffs = np.zeros(basis.dim, dtype=np.complex128)
-            coeffs[sector.ranks] = row / np.sqrt(sq)
-            cats.append(SymmetricState(basis, _frozen(coeffs)))
-            cats[-1]._sector = (cats[-1].coeffs, sector)  # so _as_stack need not search
+            cats.append(SymmetricState._on_rows(basis, sector, row / np.sqrt(sq)))
     return cats
 
 

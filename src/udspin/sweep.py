@@ -186,14 +186,17 @@ class SweepConfig:
         )
 
 
-#: Bytes of state coefficients a sweep block holds, one full-space complex
-#: vector per row as its solve or cat pass returns it: 9 couplings with both
-#: sources at N = 50, one from N = 110.  It also sets the Lanczos stack and
-#: the cat pass: a block solves its couplings as one stack, which shares the
-#: one 2 MiB Krylov store, and builds their cats in one pass.  The default
-#: N = 50 sweep on a 2-core VM with one BLAS thread, against one coupling per
-#: block: a warm run_sweep in 0.068 s against 0.169 s, peak RSS 68.1 MB
-#: against 66.0 MB, traced peak 2.74 MiB against 2.18 MiB (10.6 MiB in one block).
+#: A sweep block's size, counted as one full-space complex vector (16 B per
+#: row of the symmetric space) per table row: 9 couplings with both sources
+#: at N = 50, one from N = 110.  States hold only their even-sector
+#: coefficients, about a quarter of those rows, so a block holds less than it
+#: counts; the count stays because it sets the Lanczos stack and the cat pass
+#: (a block solves its couplings as one stack, which shares the one 2 MiB
+#: Krylov store, and builds their cats in one pass), and wider stacks were
+#: measured slower at N = 100-400 with that store.  The default N = 50 sweep
+#: on a 2-core VM with one BLAS thread, against one coupling per block: a
+#: warm run_sweep in 0.068 s against 0.169 s, peak RSS 68.1 MB against
+#: 66.0 MB, traced peak 2.74 MiB against 2.18 MiB (10.6 MiB in one block).
 _SWEEP_BLOCK_BYTES = 3 * 2**17
 
 
