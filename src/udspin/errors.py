@@ -59,7 +59,7 @@ def check_ranges(values, kind, what: str, tol: float = 0.0):
     lo, hi, _ = _RANGES[kind]
     bad = ~((lo - tol <= values) & (values <= hi + tol))
     if bad.any():
-        check_range(values[bad][0], kind, what, tol)
+        check_range(values[bad][0].item(), kind, what, tol)
     return np.clip(values, lo, hi)
 
 

@@ -26,12 +26,12 @@ vanishes.  It draws no random vector and sums with numpy rather than
 BLAS, so a row depends only on (N, lam, eps), not on grid order, stacks,
 workers or BLAS threads.  Importing the module loads no scipy, and a
 solve loads no scipy package: the kernels eigsh calls are bound on first
-use from scipy's extension files (see __getattr__), and scipy.sparse is
-imported only to take or give scipy's matrices.  A solve that does
-not converge within a fixed step cap, or whose pair misses ||Hv - Ev|| <=
-1e-10 (eps + lam), raises IntegrityError naming N, lam and the sector; one
-whose start or H is not finite, or whose tridiagonal gives a NaN residual
-estimate, raises ValueError naming them (in a stack, the sector only).
+use from scipy's extension files (see __getattr__).  H is always a _Csr;
+scipy.sparse makes only build_hamiltonian's matrix and the _assemble oracle.
+A solve that does not converge within a fixed step cap, or whose pair misses
+||Hv - Ev|| <= 1e-10 (eps + lam), raises IntegrityError naming N, lam and the
+sector; one whose start or H is not finite, or whose tridiagonal gives a NaN
+residual estimate, raises ValueError naming them (in a stack, the sector only).
 
 Closed forms implemented alongside the numerics: the mean-field energy
 surface over coherent states (1, alpha, beta), its stationary points,
@@ -224,8 +224,9 @@ def _pattern(n_particles: int, sector):
 
 class _Csr(NamedTuple):
     """A square float64 CSR matrix as its three arrays: H on the solve path,
-    with no scipy.sparse.  `@` calls csr_matvec from its module into zeros,
-    as scipy's product does (not eigsh's kernel bound here), with its bits."""
+    the only matrix eigsh takes, with no scipy.sparse.  `@` calls csr_matvec
+    from its module into zeros, as scipy's product does (not eigsh's kernel
+    bound here), with its bits."""
 
     indptr: np.ndarray
     indices: np.ndarray
@@ -254,24 +255,18 @@ def _hamiltonian(params: LmgParams, sector):
     array on the sector's shared pattern, with the entries and bits of
     sp.diags(eps/N diag) - s coupling.  That subtraction stores no zero,
     so zero entries (every off-diagonal one at lam = 0) go, from copies of
-    the index arrays, as scipy's eliminate_zeros drops them.  H is a _Csr,
-    or, once scipy.sparse is loaded anyway, scipy's csr_matrix on the same
-    arrays, the type tests compare; eigsh and `@` give both the same bits."""
+    the index arrays, as scipy's eliminate_zeros drops them.  H is a _Csr
+    whether or not scipy.sparse is loaded: the one type eigsh takes."""
     n = params.n_particles
     indptr, indices, on_diag, has_diag, diag, couplings = _pattern(n, sector)
     data = np.empty(indices.size)
     data[on_diag] = float(params.epsilon) / n * diag[has_diag]
     data[~on_diag] = couplings * (-float(params.lam) / (n * (n - 1)))  # -(s C), bit for bit
-    ham = _Csr(indptr, indices, data)
-    if not data.all():
-        ham = _Csr(indptr.copy(), indices.copy(), data)
-        _scipy_extension("scipy.sparse._sparsetools").csr_eliminate_zeros(*ham.shape, *ham)
-        ham = _Csr(ham.indptr, ham.indices[: ham.nnz], data[: ham.nnz])
-    if "scipy.sparse" not in sys.modules:  # a cold sweep loads no scipy package
-        return ham
-    import scipy.sparse as sp
-
-    return sp.csr_matrix((ham.data, ham.indices, ham.indptr), shape=ham.shape, copy=False)
+    if data.all():
+        return _Csr(indptr, indices, data)
+    ham = _Csr(indptr.copy(), indices.copy(), data)
+    _scipy_extension("scipy.sparse._sparsetools").csr_eliminate_zeros(*ham.shape, *ham)
+    return _Csr(ham.indptr, ham.indices[: ham.nnz], data[: ham.nnz])
 
 
 def _lowest_ritz(alphas, off):
@@ -315,21 +310,23 @@ def eigsh(ham, *, k=1, which="SA", v0):
     step past it is rebuilt from the two before it by the first pass's own
     step routine.  So each pair has the bytes of its one-matrix call.
 
-    `ham` is a _Csr, or a scipy or dense matrix taken as float64 CSR through
-    scipy.sparse (one already is used as it is), and must match v0, since
-    the product kernel checks no bounds.  A zero or
-    non-finite v0, a NaN or infinite alpha or beta (from a non-finite ham,
-    or a residual whose square is past the float range) or a NaN residual
-    estimate (LAPACK's tridiagonal solve overflows on entries past about
-    1e154) is a ValueError, LAPACK failing on the tridiagonal a LinAlgError,
-    and a solve still short of convergence after _LANCZOS_MAX_STEPS steps an
-    IntegrityError.  The kernels csr_matvec (once per call) and dstebz/dstein
-    (at each check) are read through the module.
+    `ham` is a _Csr (a list of them for a stack) and must match v0, since
+    the product kernel checks no bounds: any other matrix is a TypeError
+    before the first product.  A zero or non-finite v0, a NaN or infinite
+    alpha or beta (from a non-finite ham, or a residual whose square is past
+    the float range) or a NaN residual estimate (LAPACK's tridiagonal solve
+    overflows on entries past about 1e154) is a ValueError, LAPACK failing
+    on the tridiagonal a LinAlgError, and a solve still short of convergence
+    after _LANCZOS_MAX_STEPS steps an IntegrityError.  The kernels
+    csr_matvec (once per call) and dstebz/dstein (at each check) are read
+    through the module.
     """
     if k != 1 or which != "SA":
         raise ValueError("only the lowest eigenpair (k=1, which='SA') is computed")
     stacked = isinstance(ham, list)
-    hams = [h if isinstance(h, _Csr) else _float_csr(h) for h in (ham if stacked else [ham])]
+    hams = ham if stacked else [ham]
+    if not all(isinstance(h, _Csr) for h in hams):  # the kernel checks no bounds or types
+        raise TypeError(f"need _Csr matrices, got {sorted({type(h).__name__ for h in hams})}")
     v0 = np.asarray(v0, dtype=np.float64)
     starts = v0 if stacked else v0[None]
     rows, dim = len(hams), starts.shape[-1]
@@ -444,15 +441,6 @@ def eigsh(ham, *, k=1, which="SA", v0):
     for r, v in enumerate(vec.reshape(rows, dim)):
         outcomes[r] = outcomes[r] if r in failed else (outcomes[r], v[:, None])
     return outcomes if stacked else _only(outcomes)
-
-
-def _float_csr(matrix) -> _Csr:
-    """A scipy sparse or dense matrix as a float64 _Csr, on the arrays of
-    its CSR form: not copied where it is one already."""
-    import scipy.sparse as sp
-
-    matrix = sp.csr_matrix(matrix, dtype=np.float64)
-    return _Csr(matrix.indptr, matrix.indices, matrix.data)
 
 
 def _ritz_check(alphas, off, beta, tol, y_out):

@@ -31,6 +31,7 @@ from .basis import (
     SymmetricState,
     _as_stack,
     _levels0,
+    _scipy_extension,
     expval_matrix,
     expval_tables,
     occupation_ranks,
@@ -110,7 +111,8 @@ def level_weights(x, level: int, n_particles: int, cat: bool = False) -> np.ndar
     x = np.asarray(x, dtype=np.float64)
     d = x.shape[-1]
     (k0,) = _levels0(d, level)
-    from scipy.special import gammaln, xlogy  # xlogy takes libm's log, as math.log does
+    ufuncs = _scipy_extension("scipy.special._special_ufuncs")  # not scipy.special's package
+    gammaln, xlogy = ufuncs.gammaln, ufuncs.xlogy  # xlogy takes libm's log, as math.log does
 
     ks = np.arange(n + 1)
     log_binom = gammaln(n + 1) - gammaln(ks + 1) - gammaln(n - ks + 1)
@@ -299,8 +301,7 @@ def partial_trace_oracle(state: SymmetricState, keep: int) -> np.ndarray:
     (particle 0 is the leftmost factor) and traces out all but `keep`
     particles.  Exponential cost: restricted to N <= 8, D <= 3.
     """
-    from scipy.special import gammaln
-
+    gammaln = _scipy_extension("scipy.special._special_ufuncs").gammaln
     basis = state.basis
     n, d = basis.n_particles, basis.n_levels
     keep = check_integer(keep, 1, min(2, n), "keep")

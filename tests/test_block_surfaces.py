@@ -278,7 +278,7 @@ def test_check_ranges_is_check_range_elementwise(kind, tol):
     assert [v.hex() for v in got.ravel().tolist()] == [float(v).hex() for v in want]
     assert check_ranges(np.float64(0.5), kind, "value", tol) == 0.5
     values[1, 1], values[1, 3] = math.inf, math.nan  # the first bad value, in row-major order, raises
-    with pytest.raises(IntegrityError, match="value: non-finite value np.float64\\(inf\\)"):
+    with pytest.raises(IntegrityError, match="value: non-finite value inf"):
         check_ranges(values, kind, "value", tol)
 
 

@@ -228,3 +228,17 @@ def test_failed_solve_mid_block_names_its_row(monkeypatch):
         run_sweep(SweepConfig(n_particles=9, lambdas=(0.0, 1.0, target, 3.0)))
     assert str(info.value) == f"N=9, lam={target!r}, source=numerical: injected solver failure"
     assert str(info.value.__cause__) == "injected solver failure"
+
+
+def test_a_block_pass_failing_where_every_row_passes_raises_its_own_error(monkeypatch):
+    injected, real = IntegrityError("injected block failure"), sweep._block_observables
+
+    def observables(config, rows, states, grounds):  # fails only on several rows
+        if len(rows) > 1:
+            raise injected
+        real(config, rows, states, grounds)
+
+    monkeypatch.setattr(sweep, "_block_observables", observables)
+    with pytest.raises(IntegrityError) as info:
+        run_sweep(SweepConfig(n_particles=9, lambdas=(0.0, 1.0, 3.0)))
+    assert info.value is injected

@@ -5,11 +5,12 @@ and scipy.special._special_ufuncs from their extension files, registered
 under their full names so that a later package import reuses them; where no
 file is found it imports the module through its package.  The solve path
 lays out each sector's CSR pattern with numpy and holds H as a three-array
-_Csr.  Oracles: scipy's sparse arithmetic on the move tables
-(lmg._sector_structure, lmg._workspace), and the same solves with H in
-scipy's csr_matrix.
+_Csr, whether or not scipy.sparse is loaded.  Oracles: scipy's sparse
+arithmetic on the move tables (lmg._sector_structure, lmg._workspace), and
+the same solves with every product taken by scipy's csr_matrix.
 """
 
+import ast
 import importlib
 import os
 import subprocess
@@ -118,14 +119,19 @@ def _solves(n, sector):
     return [(np.float64(r.energy), r.state.coeffs) for r in [single, *stack]]
 
 
+def _scipy_product(n_row, n_col, indptr, indices, data, vec, out):
+    # eigsh's product, taken by scipy's csr_matrix on the same arrays (eigsh
+    # hands the kernel zeros, as scipy's own product starts from)
+    out.reshape(-1)[:] = sp.csr_matrix((data, indices, indptr), shape=(n_row, n_col)) @ vec.ravel()
+
+
 @pytest.mark.parametrize("n, sector", [(50, "even"), (51, (1, 0)), (20, "full")])
 def test_solves_with_h_as_csr_arrays_have_the_bytes_of_scipy_matrices(monkeypatch, n, sector):
-    want = _solves(n, sector)
-    params = LmgParams(n_particles=n, lam=0.3)
-    assert type(lmg._hamiltonian(params, "full")) is sp.csr_matrix
     with monkeypatch.context() as patch:
-        patch.delitem(sys.modules, "scipy.sparse")
-        assert type(lmg._hamiltonian(params, "full")) is lmg._Csr
+        patch.setattr(lmg, "csr_matvec", _scipy_product)
+        want = _solves(n, sector)
+    with monkeypatch.context() as patch:
+        patch.delitem(sys.modules, "scipy.sparse")  # as in a cold sweep
         got = _solves(n, sector)
         assert "scipy.sparse" not in sys.modules
     for (e1, c1), (e2, c2) in zip(got, want):
@@ -133,18 +139,54 @@ def test_solves_with_h_as_csr_arrays_have_the_bytes_of_scipy_matrices(monkeypatc
 
 
 @pytest.mark.parametrize("lam", [0.0, 2.5])
-def test_csr_arrays_multiply_as_scipy_does(monkeypatch, lam):
-    want = lmg._hamiltonian(LmgParams(n_particles=30, lam=lam), "full")
-    with monkeypatch.context() as patch:
-        patch.delitem(sys.modules, "scipy.sparse")
-        got = lmg._hamiltonian(LmgParams(n_particles=30, lam=lam), "full")
-    assert (got.shape, got.nnz) == (want.shape, want.nnz)
-    for name in ("indptr", "indices", "data"):
-        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+def test_csr_arrays_multiply_as_scipy_does(lam):
+    got = lmg._hamiltonian(LmgParams(n_particles=30, lam=lam), "full")
+    want = sp.csr_matrix((got.data, got.indices, got.indptr), shape=got.shape)
+    assert type(got) is lmg._Csr and got.nnz == want.nnz
     vec = np.linspace(-1.0, 2.0, want.shape[0])
     assert (got @ vec).tobytes() == (want @ vec).tobytes()
     with pytest.raises(ValueError, match="need a vector of length"):
         got @ vec[1:]
+
+
+@pytest.mark.parametrize("lams", [None, (0.0, 0.7, 3.0)])
+def test_with_scipy_sparse_loaded_ground_state_hands_eigsh_only_csr_arrays(monkeypatch, lams):
+    assert "scipy.sparse" in sys.modules
+    seen, real = [], lmg.eigsh
+
+    def recording(ham, **kwargs):
+        seen.extend(ham if isinstance(ham, list) else [ham])
+        return real(ham, **kwargs)
+
+    monkeypatch.setattr(lmg, "eigsh", recording)
+    ground_state(LmgParams(n_particles=20, lam=1.5), lams=lams)
+    assert len(seen) == (1 if lams is None else len(lams))
+    assert all(type(ham) is lmg._Csr for ham in seen)
+
+
+def _scipy_imports(tree: ast.AST, where: str):
+    """Qualified names of the functions (or the module) that import scipy,
+    outside `if TYPE_CHECKING:` blocks."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING":
+            continue
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] if not node.level else []
+        else:
+            names = []
+        if any(name == "scipy" or name.startswith("scipy.") for name in names):
+            yield where
+        inner = isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        yield from _scipy_imports(node, f"{where}.{node.name}" if inner else where)
+
+
+def test_scipy_is_imported_only_where_a_scipy_matrix_is_made():
+    found = set()
+    for path in sorted(Path(udspin.__file__).parent.glob("*.py")):
+        found.update(_scipy_imports(ast.parse(path.read_text()), path.stem))
+    assert found == {"lmg._assemble", "lmg.build_hamiltonian"}
 
 
 def test_unrank_builds_no_occupation_table():

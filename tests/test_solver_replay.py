@@ -37,8 +37,8 @@ def _scipy_hamiltonian(diag, coupling, params):
     return kin - float(params.lam) / (n * (n - 1)) * coupling
 
 
-def _assert_same_csr(got, want):
-    assert type(got) is type(want) and got.shape == want.shape
+def _assert_same_csr(got, want, kind=lmg._Csr):
+    assert type(got) is kind and got.shape == want.shape
     for name in ("indptr", "indices", "data"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype, name
@@ -68,13 +68,15 @@ def test_lam_zero_keeps_only_the_nonzero_diagonal():
     ham = lmg._hamiltonian(params, (0, 0))
     rows, _, diag, _ = lmg._sector_structure(50, (0, 0))
     assert ham.nnz == np.count_nonzero(diag) < rows.shape[0]
-    np.testing.assert_array_equal(ham.diagonal(), diag / 50)
+    row_of = np.repeat(np.arange(rows.shape[0]), np.diff(ham.indptr))
+    assert (ham.indices == row_of).all()  # every stored entry is on the diagonal
+    np.testing.assert_array_equal(ham.data, (diag / 50)[diag != 0])
 
 
 def test_build_hamiltonian_owns_its_arrays():
     params = LmgParams(n_particles=6, lam=1.0)
     ham = build_hamiltonian(shared_basis(6, 3), params)
-    _assert_same_csr(ham, _scipy_hamiltonian(*_structure(6, "full"), params))
+    _assert_same_csr(ham, _scipy_hamiltonian(*_structure(6, "full"), params), sp.csr_matrix)
     assert ham.indices.flags.writeable and ham.indptr.flags.writeable
     ham.indices[:] = 0  # changes this copy, not the cached pattern
     _assert_same_csr(lmg._hamiltonian(params, "full"), build_hamiltonian(shared_basis(6, 3), params))
@@ -169,12 +171,19 @@ def test_eigsh_leaves_its_inputs_alone():
     assert first[1].tobytes() == second[1].tobytes()
 
 
-def test_eigsh_takes_a_dense_matrix():
+def test_eigsh_refuses_a_matrix_that_is_not_a_csr(monkeypatch):
+    # the product kernel checks no bounds: a dense or scipy matrix, alone or
+    # in a stack, is refused before the first product
     ham = lmg._hamiltonian(LmgParams(n_particles=12, lam=0.9), (0, 0))
     v0 = np.ones(ham.shape[0])
-    sparse, dense = lmg.eigsh(ham, v0=v0), lmg.eigsh(ham.toarray(), v0=v0)
-    assert sparse[0].tobytes() == dense[0].tobytes()
-    assert sparse[1].tobytes() == dense[1].tobytes()
+    scipy_ham = sp.csr_matrix((ham.data, ham.indices, ham.indptr), shape=ham.shape)
+    dense = scipy_ham.toarray()
+    calls = []
+    monkeypatch.setattr(lmg, "csr_matvec", lambda *args: calls.append(args))
+    for bad, starts in [(dense, v0), (scipy_ham, v0), ([ham, dense], np.ones((2, v0.size)))]:
+        with pytest.raises(TypeError, match="need _Csr matrices"):
+            lmg.eigsh(bad, v0=starts)
+    assert calls == []
 
 
 def test_eigsh_rejects_a_start_of_the_wrong_size():

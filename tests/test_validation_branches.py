@@ -10,11 +10,12 @@ import json
 import pytest
 
 import udspin.selftest as selftest
-from udspin.basis import SymmetricBasis, matrix_element, shared_basis
+from udspin.basis import SymmetricBasis, basis_ket, matrix_element, shared_basis
 from udspin.cli import main
 from udspin.errors import ConfigError, EmptySectorError, IntegrityError
 from udspin.lmg import LmgParams, build_hamiltonian, variational_cat, variational_energy
-from udspin.states import _as_orbitals, dcat_expval_tables
+from udspin.rdm import level_weights
+from udspin.states import _as_orbitals, dcat_expval_tables, representative
 from udspin.sweep import (
     CSV_COLUMNS,
     SurfaceConfig,
@@ -44,6 +45,23 @@ def test_cat_tables_of_a_vanishing_projection():
     # at N = 11 nearly all weight sits on level 2, whose count is then odd
     with pytest.raises(EmptySectorError, match="annihilated"):
         dcat_expval_tables([1.0, 1e17, 0.0], 11)
+
+
+def test_cat_level_weights_of_a_vanishing_projection():
+    # all weight on level 2 at N = 5: its count is odd, so the even cat is empty
+    with pytest.raises(EmptySectorError, match="annihilated"):
+        level_weights([0.0, 1.0, 0.0], 1, 5, cat=True)
+
+
+def test_representative_whose_rescaling_overflows():
+    with pytest.raises(ValueError, match="level-1 amplitude is too small: rescaling overflows"):
+        representative([1e-300, 1e300, 1.0])
+
+
+def test_overlap_of_states_with_the_same_n_and_another_d():
+    a, b = basis_ket(SymmetricBasis(4, 3), [4, 0, 0]), basis_ket(SymmetricBasis(4, 2), [4, 0])
+    with pytest.raises(ValueError, match="states live in different sectors"):
+        a.overlap(b)
 
 
 @pytest.fixture
