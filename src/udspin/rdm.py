@@ -128,7 +128,7 @@ def level_weights(x, level: int, n_particles: int, cat: bool = False) -> np.ndar
     log_w = _even_parts(a, b, ks)
     log_w += log_binom + xlogy(n - ks, (chosen / total)[..., None, None])
     log_w += xlogy(ks, ((a + b) / total[..., None])[..., None])
-    w = np.add.reduce(np.exp(log_w), axis=-2)
+    w = np.add.reduce(np.exp(log_w, out=log_w), axis=-2)
     w[..., (ks if k0 == 0 else n - ks) % 2 == 1] = 0.0
     norm = np.add.reduce(w, axis=-1, keepdims=True)
     if (norm < 1e-14 * 2 ** (d - 1)).any():
@@ -165,10 +165,19 @@ def two_qudit_rdm_from_tables(S: np.ndarray, Q: np.ndarray, n_particles: int) ->
     S = np.asarray(S, dtype=np.complex128)
     Q = np.asarray(Q, dtype=np.complex128)
     d = S.shape[-1]
-    delta = np.einsum("il,...jk->...ikjl", np.eye(d), S)
-    rho = (np.einsum("...jilk->...ikjl", Q) - delta) / (n * (n - 1))
+    # Q_jilk - delta_il S_jk on a copy of Q laid out as rho2, subtracting on the
+    # i = l blocks only: S + 0.0 subtracts a zero of S as +0, as the einsum
+    # product delta_il S_jk writes it, so no sign of a zero in rho2 moves
+    rho = np.einsum("...jilk->...ikjl", Q).copy()
+    delta = (S + 0.0).swapaxes(-1, -2)
+    for i in range(d):
+        rho[..., i, :, :, i] -= delta
+    rho /= n * (n - 1)
     rho = rho.reshape(S.shape[:-2] + (d * d, d * d))
-    return 0.5 * (rho + rho.conj().swapaxes(-1, -2))
+    herm = np.conjugate(rho.swapaxes(-1, -2), out=np.empty_like(rho))
+    herm += rho  # a complex sum, and a product with a real, have the bits of either order
+    herm *= 0.5
+    return herm
 
 
 def two_qudit_rdm(state: SymmetricState) -> np.ndarray:
@@ -269,6 +278,8 @@ def _spectra(rho: np.ndarray) -> np.ndarray:
     matrix with a non-finite entry gets a NaN spectrum, which the entropy
     rule rejects at its own row, instead of failing the whole call."""
     finite = np.isfinite(rho).all(axis=(-2, -1))
+    if finite.all():  # no masked copy
+        return np.linalg.eigvalsh(rho)
     w = np.linalg.eigvalsh(np.where(finite[..., None, None], rho, 0.0))
     w[~finite] = np.nan
     return w

@@ -27,7 +27,7 @@ from .basis import (
 )
 from .lmg import (
     LmgParams,
-    build_hamiltonian,
+    _hamiltonian,
     even_sector_indices,
     ground_state,
     thermo_curvature,
@@ -178,8 +178,10 @@ def _check_hamiltonian_sector() -> None:
         even = ground_state(params, sector="even").energy
         full = ground_state(params, sector="full").energy
         assert abs(even - full) < 1e-10, (lam, even, full)
-        # the dense spectrum does not go through the Lanczos solver
-        dense = build_hamiltonian(basis, params).toarray()
+        # the dense spectrum does not go through the Lanczos solver, nor H through scipy.sparse
+        ham = _hamiltonian(params, "full")
+        dense = np.zeros(ham.shape)
+        dense[np.repeat(np.arange(basis.dim), np.diff(ham.indptr)), ham.indices] = ham.data
         for got, block in ((full, dense), (even, dense[np.ix_(idx, idx)])):
             want = np.linalg.eigvalsh(block)[0]
             assert abs(got - want) < 1e-12, (lam, block.shape, got, want)

@@ -116,7 +116,8 @@ def _coherent_amplitudes(rows: RowSet, z: np.ndarray) -> np.ndarray:
     finite = z != 0
     logz = np.zeros(z.shape, dtype=np.complex128)
     logz[finite] = np.log(z[finite])
-    w = np.stack([rows.floats @ orbital for orbital in logz])
+    w = [rows.floats @ orbital for orbital in logz]
+    w = w[0][None] if len(w) == 1 else np.stack(w)  # a stack of one is a view, not a copy
     log_norm2 = np.log([np.vdot(orbital, orbital).real for orbital in z])[:, None]
     log_amp = rows.half_log_mult + w.real - 0.5 * rows.n_particles * log_norm2
     # a dead row, with particles where z_i = 0, counts log 0 as 0 and can overflow exp: skip it
@@ -166,8 +167,11 @@ def dscs_expval_tables(z, n_particles: int):
     n = check_integer(n_particles, 1, None, "n_particles")
     norm2 = np.add.reduce(np.abs(z) ** 2, axis=-1)[..., None, None]
     P = np.conj(z)[..., :, None] * z[..., None, :] / norm2
-    Q = n * np.einsum("...il,jk->...ijkl", P, np.eye(z.shape[-1]))
-    Q += n * (n - 1) * np.einsum("...il,...kj->...ijkl", P, P)
+    Q = np.einsum("...il,jk->...ijkl", P, np.eye(z.shape[-1]))
+    Q *= n  # in place: a product with a real has the bits of either order
+    pair_term = np.einsum("...il,...kj->...ijkl", P, P)
+    pair_term *= n * (n - 1)
+    Q += pair_term
     return n * P, Q
 
 
@@ -257,7 +261,12 @@ def _even_parts(a, b, ks):
         log_q = np.log1p(-2.0 * np.minimum(a, b) / np.where(s > 0.0, s, np.inf))
         log_qj = np.where(ks > 0, ks * log_q[..., None], 0.0)  # log |q|^j
         negative = (a < b)[..., None] & (ks % 2 == 1)  # q^j < 0
-        return np.where(negative, np.log(-np.expm1(log_qj)), np.log1p(np.exp(log_qj)))
+        # log(-expm1) where q^j < 0, else log1p(exp): in place, one temporary
+        parts = np.expm1(log_qj)
+        np.log(np.negative(parts, out=parts), out=parts)
+        np.log1p(np.exp(log_qj, out=log_qj), out=log_qj)
+        np.copyto(log_qj, parts, where=negative)
+        return log_qj
 
 
 def dcat_norm_squared(z, n_particles: int):
@@ -346,9 +355,16 @@ def dcat_expval_tables(z, n_particles: int):
     if n >= 2:
         w2 = np.add.reduce(sign_pairs * (u ** (n - 2))[..., None, None, :], axis=-1)
         pair_term = np.einsum("...ik,...j,...k->...ijk", w2, z, zc)
-        inner += (n - 1) * pair_term / norm2[..., None, None] ** 2
-    Q = n * pairs * np.einsum("...i,...l,...ijk->...ijkl", zc, z, inner)
-    return S, Q / den[..., None, None, None, None]
+        pair_term *= n - 1  # a product with a real has the bits of either order
+        pair_term /= norm2[..., None, None] ** 2
+        inner += pair_term
+    # zc_i z_l first, then times inner: the three-operand einsum's left-to-right
+    # products in half its time.  einsum adds each product to a +0, so a zero
+    # of zc_i z_l stored as +0 changes no bit of Q
+    Q = np.einsum("...il,...ijk->...ijkl", np.einsum("...i,...l->...il", zc, z), inner)
+    Q *= n * pairs
+    Q /= den[..., None, None, None, None]
+    return S, Q
 
 
 def dcat_expval_sij(z, n_particles: int, i: int, j: int) -> complex:

@@ -25,7 +25,7 @@ import math
 import numbers
 from collections.abc import Iterable
 from dataclasses import dataclass, fields, replace
-from itertools import repeat
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -326,13 +326,20 @@ def _json_cell(value):
 
 def _render_rows(header, rows, fmt: str) -> str:
     """The one table serializer: floats carry 12 significant digits,
-    strings pass through and None is an empty CSV cell or JSON null."""
+    strings pass through and None is an empty CSV cell or JSON null.  A CSV
+    table whose rows are all numbers of one width is one '%.12g,...' format
+    per row, the bytes of _csv_cell's cells, which no delimiter quotes."""
     if fmt == "csv":
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_csv_cell(v) for v in row])
+        widths = set(map(len, rows))
+        if len(widths) == 1 and set(map(type, chain.from_iterable(rows))) <= {float, int, bool}:
+            line = ",".join(["%.12g"] * widths.pop()) + "\n"
+            buffer.write("".join([line % tuple(row) for row in rows]))
+        else:
+            for row in rows:
+                writer.writerow([_csv_cell(v) for v in row])
         return buffer.getvalue()
     if fmt == "json":
         cells = [{key: _json_cell(v) for key, v in zip(header, row)} for row in rows]
@@ -497,11 +504,18 @@ class SurfaceConfig:
 
 
 #: Nodes per array pass, which holds (nodes, D^4) complex tables or the
-#: (nodes, 2^(D-2), N+1) cat level terms.  On the 41x41 N = 100 dcat grid the
-#: traced peak of surface_table is 0.55 MB for two_atom and 0.59 MB for
-#: level_entropy_1 in blocks of 64, against 11.4 and 14.2 MB in one pass, for
-#: the same time within noise.  Values do not depend on the block size.
-_SURFACE_BLOCK = 64
+#: (nodes, 2^(D-2), N+1) cat level terms.  write_surface of the 41x41 N = 100
+#: dcat grid on [0, 1.59] x [0, 1.64], median ms of 60 runs interleaved in one
+#: process on a 2-core shared VM, then the traced peak of surface_table (MiB):
+#:
+#:     nodes per pass    64          128         256         512         one pass
+#:     two_atom          37.7  0.38  31.9  0.68  29.6  1.19  28.4  2.22  31.4  6.90
+#:     level_entropy_1   31.3  0.37  28.0  0.58  26.4  0.99  26.8  1.80  31.3  5.74
+#:     squeezing_total   17.9  0.28  15.1  0.48  13.4  0.80  12.6  1.43  11.6  4.43
+#:
+#: 512 nodes gain little on 256 for twice the memory; a cold two_atom run peaks
+#: 0.9 MB above its 33.3 MB at 64.  Values do not depend on the block size.
+_SURFACE_BLOCK = 256
 
 
 def _block_values(config: SurfaceConfig, a: np.ndarray, b: np.ndarray) -> np.ndarray:

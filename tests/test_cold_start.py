@@ -72,6 +72,19 @@ def test_level_entropy_surface_loads_special_ufuncs_not_scipy_special(tmp_path, 
     ]
 
 
+def test_selftest_loads_kernel_modules_and_no_scipy_package():
+    # the dense Hamiltonian check scatters the solver's own CSR arrays: no scipy.sparse
+    code = "import sys; from udspin.selftest import run_selftest; code = run_selftest(id); "
+    failures, loaded = _fresh(code + _REPORT).split(" ", 1)
+    assert failures == "0"
+    assert ast.literal_eval(loaded) == [
+        "scipy.linalg._fblas",
+        "scipy.linalg._flapack",
+        "scipy.sparse._sparsetools",
+        "scipy.special._special_ufuncs",
+    ]
+
+
 _COUNTED_SOLVE = """
 import sys
 import udspin.lmg as lmg

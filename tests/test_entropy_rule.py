@@ -107,7 +107,7 @@ def test_cat_two_atom_surface_takes_the_stacked_pass_only(entropy_calls):
     config = SurfaceConfig(n_particles=10, kind="dcat", observable="two_atom",
                            a_count=9, b_count=9)
     assert len(surface_table(config)) == 81
-    assert entropy_calls["linear_entropies"] == 2  # one per block of 64 nodes
+    assert entropy_calls["linear_entropies"] == math.ceil(81 / sweep._SURFACE_BLOCK)  # per block
     assert entropy_calls["spectrum_entropies"] == entropy_calls["entropies"] == 0
 
 
